@@ -259,29 +259,31 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _levels_for_args(args, e, gamma: float, n: int):
-    """Resolve the extreme level from --tau-e, --c, or --return-period."""
-    chosen = [x is not None for x in (args.tau_e, args.c, args.return_period)]
-    if sum(chosen) != 1:
-        raise DomainError("choose exactly one of --tau-e, --c, --return-period")
+def _levels_for_args(args, e, gamma: float, rule):
+    """Resolve the extreme level from --tau-e, --c, or the return-period rule."""
     if args.tau_e is not None:
-        return LevelPair.from_levels(e.tau_i, args.tau_e), e.k
+        return LevelPair.from_levels(e.tau_i, args.tau_e)
     if args.c is not None:
-        return extreme_level_from_c(gamma, e.tau_i, args.c), e.k
-    rule = extreme_level_from_return_period(args.return_period, n)
-    return rule.levels, rule.k
+        return extreme_level_from_c(gamma, e.tau_i, args.c)
+    return rule.levels
 
 
 def cmd_predict(args) -> int:
     cfg = _load_config(args.config)
     data = tio.read_numeric_csv(args.input)
     sample = SortedSample.from_data(data)
-    e, fit, ps = _fit_once(sample, args.k, args.method, args, cfg)
-    gamma = fit.params.gamma if fit is not None else float(np.mean(ps.gammas))
-    levels, k_used = _levels_for_args(args, e, gamma, sample.n)
-    if k_used != e.k:
+    chosen = [x is not None for x in (args.tau_e, args.c, args.return_period)]
+    if sum(chosen) != 1:
+        raise DomainError("choose exactly one of --tau-e, --c, --return-period")
+    rule = None
+    k = args.k
+    if args.return_period is not None:
         # the return-period rule dictates its own effective sample size
-        e, fit, ps = _fit_once(sample, k_used, args.method, args, cfg)
+        rule = extreme_level_from_return_period(args.return_period, sample.n)
+        k = rule.k
+    e, fit, ps = _fit_once(sample, k, args.method, args, cfg)
+    gamma = fit.params.gamma if fit is not None else float(np.mean(ps.gammas))
+    levels = _levels_for_args(args, e, gamma, rule)
     if fit is not None:
         model = freq_predictive(fit, levels)
     else:

@@ -149,9 +149,12 @@ class BayesianPredictive(PredictiveModel):
         scalar = y_arr.ndim == 0
         pts = np.atleast_1d(y_arr)
         out = np.empty(pts.shape, dtype=float)
+        # onsets rounded as support_lower() rounds them, so that the draw
+        # whose support starts there sits at z = 0 and not just below it
+        onset = self.threshold + self._shift
         for start in range(0, pts.size, _CHUNK):
             block = pts[start : start + _CHUNK, None]
-            z = (block - self.threshold - self._shift) / self._scale
+            z = (block - onset) / self._scale
             out[start : start + _CHUNK] = kernel(z).mean(axis=1)
         return float(out[0]) if scalar else out
 
@@ -171,6 +174,8 @@ class BayesianPredictive(PredictiveModel):
             if prob == 1.0 and np.all(self._g < 0.0):
                 return self.support_upper()
             raise DomainError(f"quantile probability must lie in [0,1), got {prob}")
+        if prob == 0.0:
+            return self.support_lower()
         per_draw = (
             self.threshold
             + self._shift

@@ -12,7 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import DomainError, InfiniteMeanError
+from numpy.linalg import LinAlgError
+
+from .errors import DomainError, InfiniteMeanError, TailcastError
 from .estimation import ExceedanceSet, GpFit
 from .gpd import GAMMA_ZERO_TOL, LevelPair
 from .predict import (
@@ -121,8 +123,9 @@ def return_level_curve(
     ``model_factory(k, levels)`` must build an intermediate-level predictive
     model (tail ratio 1) from the top ``k`` order statistics; the fixed
     ratio-1/4 rule supplies ``k`` and the levels for each ``T``.  Rows keep
-    per-period failures as error strings so one bad period does not kill
-    the curve.
+    per-period package, arithmetic and linear-algebra failures as error
+    strings so one bad period does not kill the curve; any other exception
+    is a bug and propagates.
     """
     from .predict import extreme_level_from_return_period
 
@@ -143,7 +146,7 @@ def return_level_curve(
                 upper=interval.upper,
                 error="",
             )
-        except Exception as exc:  # noqa: BLE001 - per-row failure policy
+        except (TailcastError, ArithmeticError, LinAlgError) as exc:
             row.update(
                 tau_e=math.nan, k=0, point=math.nan,
                 lower=math.nan, upper=math.nan, error=str(exc),

@@ -24,6 +24,7 @@ from .errors import (
     DegenerateDataError,
     DomainError,
     EstimationError,
+    TailcastError,
 )
 from .estimation import SortedSample, fit_ml, fit_pwm, select_exceedances
 from .gpd import LevelPair
@@ -50,6 +51,11 @@ __all__ = [
 ]
 
 _GARCH_WARMUP = 10  # recursion-initialization transient dropped from POT fitting
+_GARCH_MAX_PERSISTENCE = 0.9995
+# (alpha, beta) starting points; the quasi-likelihood can have several
+# basins on nearly iid input, and the low-alpha, high-beta start reaches
+# the one each of the other three tends to miss there
+_GARCH_STARTS = ((0.05, 0.90), (0.10, 0.80), (0.02, 0.50), (0.01, 0.98))
 
 
 @dataclass(frozen=True)
@@ -163,13 +169,54 @@ def _garch_sigma2(y_centered_sq: np.ndarray, omega: float, alpha: float, beta: f
     return out
 
 
+def _garch_neg_qll(params, y):
+    """Gaussian negative quasi-log-likelihood per observation and its gradient.
+
+    ``params = (mean, log omega, alpha, beta)``.  The derivatives of the
+    variance path obey the same linear recursion as the variance itself,
+    ``d s2_t = c_t + beta * d s2_{t-1}``, with ``c_t`` equal to
+    ``-2 alpha e_{t-1}`` (mean), ``omega`` (log omega), ``e_{t-1}^2``
+    (alpha) and ``s2_{t-1}`` (beta); they start from the derivative of
+    the initial variance ``s2_0 = mean(e^2)``, which depends on the mean
+    only.
+    """
+    mu, log_omega, alpha, beta = params
+    omega = math.exp(log_omega)
+    n = y.size
+    e = y - mu
+    sq = e * e
+    s2 = _garch_sigma2(sq, omega, alpha, beta)
+    ratio = sq / s2
+    value = 0.5 * float((np.log(s2) + ratio).sum()) / n
+    drivers = np.empty((4, n - 1))
+    drivers[0] = -2.0 * alpha * e[:-1]
+    drivers[1] = omega
+    drivers[2] = sq[:-1]
+    drivers[3] = s2[:-1]
+    ds2_0 = np.zeros((4, 1))
+    ds2_0[0, 0] = -2.0 * float(e.sum()) / n
+    tail, _ = lfilter([1.0], [1.0, -beta], drivers, axis=1, zi=beta * ds2_0)
+    w = (1.0 - ratio) / s2
+    grad = tail @ w[1:]
+    grad += ds2_0[:, 0] * w[0]
+    grad *= 0.5 / n
+    grad[0] -= float((e / s2).sum()) / n
+    return value, grad
+
+
 def fit_garch11(series) -> Garch11Model:
     """Gaussian quasi-maximum-likelihood GARCH(1,1) fit.
 
-    The variance recursion is initialized at the sample variance; the
-    search runs over ``(mean, log omega, alpha, beta)`` with the
-    stationarity constraint enforced by penalty.  Near-unit persistence is
-    reported with a :class:`BoundaryWarning`.
+    The variance recursion is initialized at the mean squared deviation
+    from the fitted mean.  The search runs over ``(mean, log omega, alpha,
+    beta)`` with SLSQP on the exact gradient (see :func:`_garch_neg_qll`),
+    within the box ``0 <= alpha, beta <= 0.9995`` and under the linear
+    stationarity constraint ``alpha + beta <= 0.9995``.  It starts from
+    four persistence guesses and keeps the best end point, because on
+    nearly iid input ``alpha`` lands on 0, where ``beta`` is not
+    identified, or the quasi-likelihood has more than one basin.
+    Near-unit persistence is reported with a :class:`BoundaryWarning`;
+    a solver failure raises :class:`EstimationError`.
     """
     y = np.asarray(series, dtype=float)
     n = y.size
@@ -186,39 +233,45 @@ def fit_garch11(series) -> Garch11Model:
             "recursion guard: zero-variance tail segment in the series"
         )
 
-    def neg_qll(params):
-        mu, log_omega, alpha, beta = params
-        if not np.all(np.isfinite(params)):
-            return 1e12
-        if alpha < 0.0 or beta < 0.0 or alpha + beta > 0.9995:
-            return 1e12 * (1.0 + max(0.0, alpha + beta - 0.9995))
-        omega = math.exp(log_omega)
-        sq = (y - mu) ** 2
-        s2 = _garch_sigma2(sq, omega, alpha, beta)
-        if np.any(s2 <= 0.0) or not np.all(np.isfinite(s2)):
-            return 1e12
-        return 0.5 * float(np.mean(np.log(s2) + sq / s2))
-
-    mu0 = float(np.mean(y))
-    starts = []
-    for a0, b0 in ((0.05, 0.90), (0.10, 0.80), (0.02, 0.50)):
-        w0 = var_y * max(1e-6, 1.0 - a0 - b0)
-        starts.append(np.array([mu0, math.log(w0), a0, b0]))
-
+    # The search runs on the standardized series: the quasi-likelihood is
+    # affine-equivariant (mean and sqrt(omega) scale with the data), and
+    # the solver's first steps are only well sized at unit scale.
+    loc = float(np.mean(y))
+    scale = math.sqrt(var_y)
+    z = (y - loc) / scale
+    starts = [
+        np.array([0.0, math.log(1.0 - a0 - b0), a0, b0])
+        for a0, b0 in _GARCH_STARTS
+    ]
+    cap = _GARCH_MAX_PERSISTENCE
+    persistence = {
+        "type": "ineq",
+        "fun": lambda p: cap - p[2] - p[3],
+        "jac": lambda p: np.array([0.0, 0.0, -1.0, -1.0]),
+    }
+    bounds = [(None, None), (None, None), (0.0, cap), (0.0, cap)]
     best = None
-    best_val = math.inf
-    for start in starts:
-        res = minimize(
-            neg_qll,
-            start,
-            method="Nelder-Mead",
-            options={"xatol": 1e-8, "fatol": 1e-11, "maxiter": 4000, "maxfev": 6000},
-        )
-        if res.fun < best_val:
-            best, best_val = res, res.fun
-    if best is None or not math.isfinite(best_val) or best_val >= 1e11:
+    try:
+        for start in starts:
+            res = minimize(
+                _garch_neg_qll,
+                start,
+                args=(z,),
+                jac=True,
+                method="SLSQP",
+                bounds=bounds,
+                constraints=[persistence],
+                options={"ftol": 1e-14, "maxiter": 500},
+            )
+            if math.isfinite(res.fun) and (best is None or res.fun < best.fun):
+                best = res
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:
+        raise EstimationError(
+            f"GARCH quasi-likelihood maximization failed: {exc}"
+        ) from exc
+    if best is None:
         raise EstimationError("GARCH quasi-likelihood maximization failed")
-    mu, log_omega, alpha, beta = best.x
+    mu_z, log_omega_z, alpha, beta = best.x
     alpha = max(float(alpha), 0.0)
     beta = max(float(beta), 0.0)
     if alpha + beta > 0.98:
@@ -229,10 +282,10 @@ def fit_garch11(series) -> Garch11Model:
             stacklevel=2,
         )
     return Garch11Model(
-        omega=float(math.exp(log_omega)),
+        omega=var_y * math.exp(log_omega_z),
         alpha=alpha,
-        beta=min(beta, 0.9995),
-        mean=float(mu),
+        beta=min(beta, _GARCH_MAX_PERSISTENCE),
+        mean=loc + scale * float(mu_z),
         fitted_on=n,
     )
 
@@ -425,8 +478,10 @@ def rolling_forecast(series, window: int, stride: int, cfg: RollingConfig) -> li
 
     ``stride == window`` reproduces a disjoint-window scheme.  Each row
     carries the one-step-ahead point forecast of the extreme quantile and
-    its predictive interval on the observable scale; per-origin failures
-    are recorded in the row's ``error`` field and the run continues.
+    its predictive interval on the observable scale.  A per-origin package,
+    arithmetic or linear-algebra failure is recorded in the row's ``error``
+    field and the run continues; any other exception is a bug and
+    propagates.
     """
     arr = np.asarray(series, dtype=float)
     external = cfg.filter == "external"
@@ -501,7 +556,7 @@ def rolling_forecast(series, window: int, stride: int, cfg: RollingConfig) -> li
                 realized=realized,
                 error="",
             )
-        except Exception as exc:  # noqa: BLE001 - per-origin failure policy
+        except (TailcastError, ArithmeticError, np.linalg.LinAlgError) as exc:
             row.update(
                 mu_next=math.nan, xi_next=math.nan, threshold_obs=math.nan,
                 point=math.nan, lower=math.nan, upper=math.nan,

@@ -130,6 +130,30 @@ class TestPredict:
         assert doc["k"] == round(4 * 5_000 / 200)
         assert doc["levels"]["tau_star"] == 0.25
 
+    def test_return_period_fits_once_at_rule_k(self, pareto_csv, tmp_path, monkeypatch):
+        import tailcast.cli as cli
+
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sampler": {"burn_in": 400, "draws": 1200}}))
+        calls = []
+
+        def counted(*a, **kw):
+            calls.append(a[1].k)
+            return real(*a, **kw)
+
+        real = cli.sample_posterior
+        monkeypatch.setattr(cli, "sample_posterior", counted)
+        docs = []
+        for k in ("50", "219"):  # round(4 * 20_000 / 365) = 219
+            out = tmp_path / f"rp{k}.json"
+            code = main(["predict", "--input", pareto_csv, "--k", k, "--method", "bayes",
+                         "--return-period", "365", "--seed", "4", "--config", str(cfg),
+                         "--out", str(out)])
+            assert code == 0
+            docs.append(out.read_bytes())
+        assert calls == [219, 219]
+        assert docs[0] == docs[1]
+
     def test_determinism_byte_identical(self, exp_csv, tmp_path):
         outs = []
         for name in ("a.json", "b.json"):

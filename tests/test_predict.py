@@ -123,6 +123,43 @@ class TestBayesianMixture:
             for prob in np.arange(0.01, 1.0, 0.07):
                 assert model.cdf(model.quantile(prob)) == pytest.approx(prob, abs=tol)
 
+    def test_zero_quantile_is_support_onset(self):
+        # reference: the cdf bisection that used to answer prob 0
+        e = exceedances_from_excesses(make_excesses(0.3, 1.0, 800, seed=15), threshold=2.0)
+        ps = sample_posterior(
+            default_prior(fit_pwm(e).params.sigma),
+            e,
+            SamplerConfig(seed=5, burn_in=500, draws=1_200),
+        )
+        for levels in (LevelPair.intermediate(0.9), LevelPair.from_tau_star(0.9, 0.25)):
+            model = bayes_predictive(ps, 2.0, levels)
+            lo = model.support_lower()
+            hi = float(np.max(2.0 + model._shift))
+            while hi - lo > max(1e-10, 4e-16 * abs(hi)):
+                mid = 0.5 * (lo + hi)
+                if model.cdf(mid) <= 0.0:
+                    lo = mid
+                else:
+                    hi = mid
+            assert model.quantile(0.0) == model.support_lower()
+            assert model.quantile(0.0) == pytest.approx(0.5 * (lo + hi), abs=1e-9)
+
+    def test_density_at_support_onset_counts_the_first_draw(self):
+        # the grid export starts at quantile(0) = support_lower(), a jump of
+        # the mixture density; the density there is the right limit
+        e = exceedances_from_excesses(make_excesses(0.3, 1.0, 800, seed=15), threshold=20.8)
+        ps = sample_posterior(
+            default_prior(fit_pwm(e).params.sigma),
+            e,
+            SamplerConfig(seed=5, burn_in=500, draws=1_200),
+        )
+        for tau_star in (0.5, 0.25, 0.1, 0.05, 0.01):
+            model = bayes_predictive(ps, 20.8, LevelPair.from_tau_star(0.9, tau_star))
+            lo = model.support_lower()
+            first = 20.8 + model._shift == lo
+            expected = np.sum(1.0 / (ps.sigmas[first] * model._scale[first])) / ps.m
+            assert model.pdf(lo) == pytest.approx(expected, rel=1e-12)
+
     def test_interval_mass_check(self):
         ps = collapsed_posterior(0.1, 1.0, threshold=0.0)
         model = bayes_predictive(ps, 0.0, LevelPair.intermediate(0.9))

@@ -228,6 +228,13 @@ class TestReturnLevelCurve:
         assert rows[0]["error"] != ""  # T=3 leaves no intermediate level
         assert rows[1]["error"] == ""
 
+    def test_programming_errors_propagate(self):
+        def broken(k, levels):
+            raise TypeError("bug in the model factory")
+
+        with pytest.raises(TypeError):
+            return_level_curve(broken, 1_000, [100])
+
 
 class TestExtrapolationConsistency:
     def test_general_tail_formula_reduces_to_extrapolation(self):

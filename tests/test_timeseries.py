@@ -2,7 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import minimize
+from scipy.signal import lfilter
 
+import tailcast.timeseries as ts
 from tailcast.errors import DegenerateDataError, DomainError
 from tailcast.gpd import LevelPair
 from tailcast.timeseries import (
@@ -34,9 +39,12 @@ def simulate_ar1(phi, n, seed, innovations="t5"):
     return y, eps
 
 
-def simulate_garch(omega, alpha, beta, n, seed):
+def simulate_garch(omega, alpha, beta, n, seed, df=None):
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal(n)
+    if df is None:
+        z = rng.standard_normal(n)
+    else:  # unit-variance Student-t innovations
+        z = rng.standard_t(df, size=n) * math.sqrt((df - 2.0) / df)
     s2 = np.empty(n)
     y = np.empty(n)
     s2[0] = omega / (1.0 - alpha - beta)
@@ -136,6 +144,78 @@ class TestGarch:
             rho = float(np.dot(sq[:-lag], sq[lag:]) / np.dot(sq, sq))
             stat += n * rho * rho
         assert stat < 23.2  # chi-square(10) upper percentile
+
+
+def reference_neg_qll(params, y):
+    """The Gaussian quasi-likelihood objective, with a penalty outside the
+    stationarity region, as the Nelder-Mead search used it."""
+    mu, log_omega, alpha, beta = params
+    if alpha < 0.0 or beta < 0.0 or alpha + beta > 0.9995:
+        return 1e12 * (1.0 + max(0.0, alpha + beta - 0.9995))
+    sq = (y - mu) ** 2
+    s2_0 = float(np.mean(sq))
+    c = math.exp(log_omega) + alpha * sq[:-1]
+    tail, _ = lfilter([1.0], [1.0, -beta], c, zi=np.array([beta * s2_0]))
+    s2 = np.concatenate([[s2_0], tail])
+    return 0.5 * float(np.mean(np.log(s2) + sq / s2))
+
+
+def nelder_mead_reference(y):
+    """Best penalized Nelder-Mead end point from the three classic starts."""
+    var_y = float(np.var(y))
+    best = math.inf
+    for a0, b0 in ((0.05, 0.90), (0.10, 0.80), (0.02, 0.50)):
+        start = [float(np.mean(y)), math.log(var_y * (1.0 - a0 - b0)), a0, b0]
+        res = minimize(
+            reference_neg_qll,
+            start,
+            args=(y,),
+            method="Nelder-Mead",
+            options={"xatol": 1e-8, "fatol": 1e-11, "maxiter": 4000, "maxfev": 6000},
+        )
+        best = min(best, res.fun)
+    return best
+
+
+GRADIENT_SERIES = simulate_garch(0.1, 0.1, 0.8, 1_000, seed=3)
+
+
+class TestGarchSolver:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        mu=st.floats(-0.5, 0.5),
+        log_omega=st.floats(-5.0, 1.0),
+        alpha=st.floats(0.0, 0.6),
+        beta=st.floats(0.0, 0.9995),
+    )
+    def test_gradient_matches_central_differences(self, mu, log_omega, alpha, beta):
+        beta = min(beta, 0.9995 - alpha)
+        params = np.array([mu, log_omega, alpha, beta])
+        value, grad = ts._garch_neg_qll(params, GRADIENT_SERIES)
+        assert value == reference_neg_qll(params, GRADIENT_SERIES)
+        numeric = np.empty(4)
+        for i in range(4):
+            step = np.zeros(4)
+            step[i] = 1e-6 * max(1.0, abs(params[i]))
+            up, _ = ts._garch_neg_qll(params + step, GRADIENT_SERIES)
+            down, _ = ts._garch_neg_qll(params - step, GRADIENT_SERIES)
+            numeric[i] = (up - down) / (2.0 * step[i])
+        np.testing.assert_allclose(grad, numeric, rtol=1e-5, atol=1e-6)
+
+    @pytest.mark.parametrize(
+        "series",
+        [
+            pytest.param(simulate_garch(0.1, 0.1, 0.8, 3_000, seed=3), id="normal-garch"),
+            pytest.param(
+                simulate_garch(0.05, 0.08, 0.9, 3_000, seed=7, df=5.0), id="t5-garch"
+            ),
+            pytest.param(np.random.default_rng(5).standard_normal(5_000), id="iid"),
+        ],
+    )
+    def test_no_worse_than_nelder_mead(self, series):
+        model = fit_garch11(series)
+        params = [model.mean, math.log(model.omega), model.alpha, model.beta]
+        assert reference_neg_qll(params, series) <= nelder_mead_reference(series) + 1e-12
 
 
 class TestExternalFilter:
@@ -245,6 +325,23 @@ class TestRollingForecast:
         )
         assert any(r["error"] != "" for r in rows)
         assert any(r["error"] == "" for r in rows)
+
+    def test_only_expected_failures_become_error_cells(self, monkeypatch):
+        y = simulate_garch(0.1, 0.1, 0.8, 1_200, seed=20)
+        cfg = RollingConfig(filter="garch11", k=50, tau_e=0.999, alpha=0.01, method="ml")
+
+        def bug(series):
+            raise TypeError("bug in the filter")
+
+        def refusal(series):
+            raise DomainError("filter refuses this window")
+
+        monkeypatch.setattr(ts, "fit_garch11", bug)
+        with pytest.raises(TypeError):
+            rolling_forecast(y, window=1_000, stride=100, cfg=cfg)
+        monkeypatch.setattr(ts, "fit_garch11", refusal)
+        rows = rolling_forecast(y, window=1_000, stride=100, cfg=cfg)
+        assert [r["error"] for r in rows] == ["filter refuses this window"] * 3
 
     def test_external_filter_rows(self):
         y, _ = simulate_ar1(0.0, 1_200, seed=17, innovations="pareto2")
