@@ -319,16 +319,12 @@ class PosteriorSample:
         return GpParams(float(self.gammas[i]), float(self.sigmas[i]))
 
 
-def _initial_state(spec, e, logpost):
+def _initial_state(spec, e, logpost, fit):
     """ML fit if the prior admits it, else a point inside the prior support."""
-    start = None
-    try:
-        fit = fit_ml(e)
+    if fit is not None:
         start = (fit.params.gamma, math.log(fit.params.sigma))
-    except (EstimationError, DegenerateDataError, DomainError):
-        pass
-    if start is not None and math.isfinite(logpost(*start)):
-        return start
+        if math.isfinite(logpost(*start)):
+            return start
     lo, hi = spec.shape_support
     mid = 0.5 * (lo + min(hi, lo + 2.0))
     for sigma0 in (float(np.mean(e.excesses)), float(np.median(e.excesses)), 1.0):
@@ -338,11 +334,9 @@ def _initial_state(spec, e, logpost):
     raise SamplerError("could not find a starting point with positive posterior mass")
 
 
-def _initial_proposal_cov(e):
+def _initial_proposal_cov(e, fit):
     """Inverse observed information at the ML fit; diagonal fallback."""
-    try:
-        fit = fit_ml(e)
-    except (EstimationError, DegenerateDataError, DomainError):
+    if fit is None:
         return np.diag([0.01, 0.01])
     theta = np.array([fit.params.gamma, math.log(fit.params.sigma)])
     h = 1e-5
@@ -403,14 +397,18 @@ def sample_posterior(
         return ll + lp + log_sigma
 
     rng = np.random.default_rng(cfg.seed)
-    state = _initial_state(spec, e, logpost)
+    try:  # one ML fit seeds both the starting point and the proposal
+        fit = fit_ml(e)
+    except (EstimationError, DegenerateDataError, DomainError):
+        fit = None
+    state = _initial_state(spec, e, logpost, fit)
     lp_cur = logpost(*state)
 
     total = cfg.burn_in + cfg.draws * cfg.thin
     z = rng.standard_normal((total, 2))
     log_u = np.log(rng.random(total))
 
-    cov = _initial_proposal_cov(e)
+    cov = _initial_proposal_cov(e, fit)
     scale_factor = 2.38**2 / 2.0
     chol = np.linalg.cholesky(scale_factor * cov + 1e-12 * np.eye(2))
     l00, l10, l11 = chol[0, 0], chol[1, 0], chol[1, 1]

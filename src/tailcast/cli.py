@@ -39,7 +39,9 @@ from .errors import (
     TailcastError,
     DegenerateDataError,
 )
-from .estimation import endpoint_estimate, fit_ml, fit_pwm, select_exceedances, SortedSample
+from .estimation import (
+    endpoint_estimate, fit_ml, fit_pwm, pwm_scale, select_exceedances, SortedSample,
+)
 from .gpd import LevelPair
 from .predict import (
     bayes_predictive,
@@ -195,7 +197,7 @@ def _fit_once(sample: SortedSample, k: int, method: str, args, cfg: dict):
         fit = fit_ml(e) if method == "ml" else fit_pwm(e)
         return e, fit, None
     if method == "bayes":
-        anchor = fit_pwm(e).params.sigma
+        anchor = pwm_scale(e)
         prior = _prior_from_config(cfg, anchor)
         sampler = _sampler_from_config(cfg, args.seed)
         ps = sample_posterior(prior, e, sampler)
@@ -349,7 +351,7 @@ def _risk_return_level_table(args, sample: SortedSample, cfg: dict) -> int:
         if args.method in ("ml", "pwm"):
             fit = fit_ml(e) if args.method == "ml" else fit_pwm(e)
             return freq_predictive(fit, levels)
-        anchor = fit_pwm(e).params.sigma
+        anchor = pwm_scale(e)
         ps = sample_posterior(
             _prior_from_config(cfg, anchor), e, _sampler_from_config(cfg, args.seed)
         )

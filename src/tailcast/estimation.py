@@ -34,6 +34,7 @@ __all__ = [
     "exceedances_from_excesses",
     "fit_ml",
     "fit_pwm",
+    "pwm_scale",
     "fit_hill",
     "endpoint_estimate",
     "stability_trace",
@@ -324,12 +325,10 @@ def _grad_ok(theta, excesses) -> bool:
     return float(np.linalg.norm(_negloglik_grad(theta, excesses))) < _GRAD_TOL
 
 
-def fit_pwm(e: ExceedanceSet) -> GpFit:
-    """Probability-weighted-moment GP fit.
+def _pwm_estimate(e: ExceedanceSet) -> tuple[float, float]:
+    """Probability-weighted-moment (shape, scale), before any regime check.
 
     Uses the literal weights ``i/k`` paired with the i-th largest excess.
-    The estimator is reliable for shapes below 1/2; ``pwm_valid`` records
-    whether the estimate lands in that regime.
     """
     x = e.excesses
     if x.size < 2:
@@ -345,8 +344,17 @@ def fit_pwm(e: ExceedanceSet) -> GpFit:
     if ratio == 1.0:
         raise DegenerateDataError("singular moment ratio: M1 = 2*M2")
     inv = 1.0 / (ratio - 1.0)
-    gamma_hat = 1.0 - inv
-    sigma_hat = m1 * inv
+    return 1.0 - inv, m1 * inv
+
+
+def fit_pwm(e: ExceedanceSet) -> GpFit:
+    """Probability-weighted-moment GP fit.
+
+    The estimator is reliable for shapes below 1/2; ``pwm_valid`` records
+    whether the estimate lands in that regime.  Shapes at or below -1/2
+    raise :class:`EstimationError`.
+    """
+    gamma_hat, sigma_hat = _pwm_estimate(e)
     if sigma_hat <= 0.0 or gamma_hat <= _SHAPE_LOWER:
         raise EstimationError(
             f"PWM estimate out of regime: gamma={gamma_hat:.4f}, "
@@ -362,6 +370,22 @@ def fit_pwm(e: ExceedanceSet) -> GpFit:
         loglik=None,
         pwm_valid=gamma_hat < 0.5,
     )
+
+
+def pwm_scale(e: ExceedanceSet) -> float:
+    """PWM scale estimate, whatever the PWM shape estimate.
+
+    The anchor of the default Bayesian scale prior needs only a positive
+    scale, so unlike :func:`fit_pwm` this accepts shapes at or below -1/2.
+    Equals ``fit_pwm(e).params.sigma`` wherever ``fit_pwm`` succeeds.
+    """
+    gamma_hat, sigma_hat = _pwm_estimate(e)
+    if not sigma_hat > 0.0:
+        raise EstimationError(
+            f"PWM scale estimate is not positive: sigma={sigma_hat:.4f}",
+            best=(gamma_hat, sigma_hat),
+        )
+    return sigma_hat
 
 
 def fit_hill(s: SortedSample, k: int) -> float:

@@ -183,27 +183,23 @@ def gp_cdf_vec(gamma, sigma, x):
 
 
 def gp_pdf_vec(gamma, sigma, x):
-    """GP density, broadcasting over parameters and argument; 0 outside support."""
+    """GP density, broadcasting over parameters and argument; 0 outside support.
+
+    Both branches are evaluated on whole arrays and masked afterwards, so a
+    mixture block costs a few ufunc passes; the exponent is formed on the
+    unbroadcast shapes.
+    """
     gamma = np.asarray(gamma, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     x = np.asarray(x, dtype=float)
-    z = np.broadcast_arrays(gamma, sigma, x)
-    gamma, sigma, x = (np.array(a) for a in z)
-    out = np.zeros(gamma.shape, dtype=float)
-
-    inside = x >= 0.0
-    zero = _near_zero(gamma) & inside
-    gen = ~_near_zero(gamma) & inside
-    if np.any(zero):
-        out[zero] = np.exp(-x[zero] / sigma[zero]) / sigma[zero]
-    if np.any(gen):
-        g, s, xx = gamma[gen], sigma[gen], x[gen]
-        base = 1.0 + g * xx / s
-        vals = np.zeros_like(base)
-        ok = base > 0.0
-        vals[ok] = np.exp(-(1.0 / g[ok] + 1.0) * np.log(base[ok])) / s[ok]
-        out[gen] = vals
-    return out
+    zero = _near_zero(gamma)
+    g = np.where(zero, 1.0, gamma)  # near-zero shapes take the exponential branch
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        base = 1.0 + g * x / sigma
+        out = np.exp(-(1.0 / g + 1.0) * np.log(base)) / sigma
+        if np.any(zero):
+            out = np.where(zero, np.exp(-x / sigma) / sigma, out)
+    return np.where((x >= 0.0) & (zero | (base > 0.0)), out, 0.0)
 
 
 def gp_quantile_vec(gamma, sigma, prob):

@@ -26,7 +26,7 @@ from .errors import (
     EstimationError,
     TailcastError,
 )
-from .estimation import SortedSample, fit_ml, fit_pwm, select_exceedances
+from .estimation import SortedSample, fit_ml, fit_pwm, pwm_scale, select_exceedances
 from .gpd import LevelPair
 from .predict import (
     PredictiveModel,
@@ -418,7 +418,7 @@ def conditional_predictive(
         inner = freq_predictive(fit, levels)
     elif method == "bayes":
         if prior is None:
-            prior = default_prior(scale_anchor=fit_pwm(e).params.sigma)
+            prior = default_prior(scale_anchor=pwm_scale(e))
         ps = sample_posterior(prior, e, sampler or SamplerConfig())
         inner = bayes_predictive(ps, e.threshold, levels)
     else:
@@ -444,7 +444,7 @@ def _levelled_models(
         inner_ext = freq_predictive(fit, ext_levels)
     elif method == "bayes":
         if prior is None:
-            prior = default_prior(scale_anchor=fit_pwm(e).params.sigma)
+            prior = default_prior(scale_anchor=pwm_scale(e))
         ps = sample_posterior(prior, e, sampler or SamplerConfig())
         inner_int = bayes_predictive(ps, e.threshold, int_levels)
         inner_ext = bayes_predictive(ps, e.threshold, ext_levels)

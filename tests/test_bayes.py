@@ -20,7 +20,7 @@ from tailcast.bayes import (
     sample_posterior,
 )
 from tailcast.errors import DomainError, PriorError, SamplerHealthWarning
-from tailcast.estimation import exceedances_from_excesses, fit_ml, fit_pwm
+from tailcast.estimation import exceedances_from_excesses, fit_ml, fit_pwm, pwm_scale
 
 
 def flat_prior(lo=-0.45, hi=2.0):
@@ -117,6 +117,33 @@ class TestSampler:
         assert np.array_equal(a.gammas, b.gammas)
         assert np.array_equal(a.sigmas, b.sigmas)
         assert a.acceptance_rate == b.acceptance_rate
+
+    def test_one_ml_fit_per_chain(self, monkeypatch):
+        import tailcast.bayes as bayes
+
+        calls = []
+
+        def counted(e):
+            calls.append(e)
+            return fit_ml(e)
+
+        monkeypatch.setattr(bayes, "fit_ml", counted)
+        e = exceedances_from_excesses(make_excesses(0.3, 1.0, 500, seed=8))
+        sample_posterior(
+            default_prior(fit_pwm(e).params.sigma), e,
+            SamplerConfig(seed=5, burn_in=200, draws=500),
+        )
+        assert len(calls) == 1
+
+    def test_short_tail_where_pwm_fit_fails(self):
+        # the PWM shape estimate here is -0.637, so only its scale anchors the prior
+        e = exceedances_from_excesses(make_excesses(-0.45, 1.0, 150, 1))
+        ps = sample_posterior(
+            default_prior(pwm_scale(e)), e,
+            SamplerConfig(seed=4, burn_in=1_000, draws=2_000),
+        )
+        assert np.all(ps.gammas > -0.5)
+        assert float(np.mean(ps.gammas)) < 0.0
 
     def test_consistency_weak_prior(self):
         e = exceedances_from_excesses(make_excesses(0.3, 1.0, 2_000, seed=12))

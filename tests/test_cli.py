@@ -118,6 +118,23 @@ class TestPredict:
         assert code == 3
         assert "negative shape" in capsys.readouterr().err
 
+    def test_bayes_gap_rule_on_short_tail(self, tmp_path):
+        # 20 + 5 GP(-1/3, 1): at k = 169 the PWM shape estimate is -0.546,
+        # which fit_pwm rejects; the Bayes scale anchor needs only its scale
+        from tailcast.gpd import GpParams, gp_sample
+
+        values = 20.0 + 5.0 * gp_sample(GpParams(-1.0 / 3.0, 1.0), 3_140,
+                                        np.random.default_rng(0))
+        path = tmp_path / "short.csv"
+        path.write_text("\n".join(str(v) for v in values) + "\n")
+        out = tmp_path / "pred.json"
+        code = main(["predict", "--input", str(path), "--k", "169", "--method", "bayes",
+                     "--c", "2", "--out", str(out)])
+        assert code == 0
+        doc = json.loads(out.read_text())
+        jsonschema.validate(doc, load_schema("prediction_report.schema.json"))
+        assert doc["k"] == 169
+
     def test_level_choice_required(self, exp_csv):
         assert main(["predict", "--input", exp_csv, "--k", "500"]) == 3
 

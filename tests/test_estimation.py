@@ -20,6 +20,7 @@ from tailcast.estimation import (
     fit_ml,
     fit_pwm,
     gp_negloglik,
+    pwm_scale,
     select_exceedances,
     stability_trace,
 )
@@ -141,6 +142,20 @@ class TestPwm:
     def test_agreement_with_ml(self, gamma):
         e = exceedances_from_excesses(make_excesses(gamma, 1.0, 100_000, seed=33))
         assert abs(fit_ml(e).params.gamma - fit_pwm(e).params.gamma) < 0.05
+
+
+class TestPwmScale:
+    def test_equals_fit_pwm_sigma_where_fit_succeeds(self):
+        for gamma, seed in ((0.3, 1), (0.0, 2), (-0.2, 3)):
+            e = exceedances_from_excesses(make_excesses(gamma, 1.5, 300, seed))
+            assert pwm_scale(e) == fit_pwm(e).params.sigma
+
+    def test_defined_when_pwm_shape_at_or_below_minus_half(self):
+        # these short-tailed excesses give a PWM shape estimate of -0.637
+        e = exceedances_from_excesses(make_excesses(-0.45, 1.0, 150, 1))
+        with pytest.raises(EstimationError, match="out of regime"):
+            fit_pwm(e)
+        assert pwm_scale(e) == pytest.approx(1.13286, abs=1e-5)
 
 
 class TestHill:

@@ -2,18 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.stats import kstest
 
 from tailcast.errors import BeyondEndpointError, DomainError, InfiniteMeanError, UnboundedQuantileError
 from tailcast.gpd import (
+    GAMMA_ZERO_TOL,
     GpParams,
     LevelPair,
     Support,
     extrapolation_weight,
     gp_cdf,
     gp_pdf,
+    gp_pdf_vec,
     gp_quantile,
     gp_sample,
     predictive_cdf,
@@ -98,6 +101,52 @@ class TestPdf:
                 lambda t: gp_pdf(p, t / (1 - t)) / (1 - t) ** 2, 0.0, 1.0
             )
         assert total == pytest.approx(1.0, abs=1e-8)
+
+
+def _masked_gp_pdf(gamma, sigma, x):
+    """The masked form gp_pdf_vec had: each branch on its own elements only."""
+    gamma, sigma, x = (np.array(a) for a in np.broadcast_arrays(
+        np.asarray(gamma, dtype=float), np.asarray(sigma, dtype=float),
+        np.asarray(x, dtype=float)))
+    out = np.zeros(gamma.shape)
+    inside = x >= 0.0
+    zero = (np.abs(gamma) < GAMMA_ZERO_TOL) & inside
+    gen = (np.abs(gamma) >= GAMMA_ZERO_TOL) & inside
+    out[zero] = np.exp(-x[zero] / sigma[zero]) / sigma[zero]
+    g, s, xx = gamma[gen], sigma[gen], x[gen]
+    base = 1.0 + g * xx / s
+    vals = np.zeros_like(base)
+    ok = base > 0.0
+    vals[ok] = np.exp(-(1.0 / g[ok] + 1.0) * np.log(base[ok])) / s[ok]
+    out[gen] = vals
+    return out
+
+
+_pdf_shapes = st.one_of(
+    st.floats(-1.5, 2.0), st.sampled_from([0.0, 1e-9, -1e-9, GAMMA_ZERO_TOL, -0.5])
+)
+_pdf_points = st.one_of(
+    st.floats(-5.0, 50.0),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e300, math.inf, -math.inf, math.nan]),
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.lists(st.tuples(_pdf_shapes, st.floats(0.01, 100.0)), min_size=1, max_size=6),
+    st.lists(_pdf_points, min_size=1, max_size=6),
+)
+def test_pdf_vec_equals_masked_form_exactly(params, points):
+    """Whole-array evaluation gives the masked form's values bit for bit."""
+    gamma, sigma = (np.array(v) for v in zip(*params))
+    x = np.array(points)[:, None]  # a (points x parameters) block, as in a mixture
+    with np.errstate(all="ignore"):
+        expected = _masked_gp_pdf(gamma, sigma, x)
+    assert np.array_equal(gp_pdf_vec(gamma, sigma, x), expected)
+    for g, s in params:
+        for v in points:
+            with np.errstate(all="ignore"):
+                assert np.array_equal(gp_pdf_vec(g, s, v), _masked_gp_pdf(g, s, v))
 
 
 class TestQuantile:
