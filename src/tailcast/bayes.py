@@ -53,6 +53,7 @@ __all__ = [
 ]
 
 _SHAPE_LOWER = -0.5
+_CHOL_ENTRIES = ((0, 1, 1), (0, 0, 1))  # l00, l10, l11 of a lower 2x2 factor
 
 
 @dataclass(frozen=True)
@@ -377,6 +378,7 @@ def sample_posterior(
     x_max = float(x[-1])
     shape_logpdf = spec.shape.log_density
     scale_logpdf = spec.scale.log_density
+    buf = np.empty_like(x)
 
     def logpost(gamma: float, log_sigma: float) -> float:
         if gamma <= _SHAPE_LOWER:
@@ -390,8 +392,10 @@ def sample_posterior(
         if abs(gamma) < GAMMA_ZERO_TOL:
             ll = -k * log_sigma - x_sum / sigma
         else:
+            # the pairwise sum np.sum takes, without a temporary per call
+            np.multiply(x, gamma / sigma, out=buf)
             ll = -k * log_sigma - (1.0 + 1.0 / gamma) * float(
-                np.sum(np.log1p((gamma / sigma) * x))
+                np.add.reduce(np.log1p(buf, out=buf))
             )
         # + log_sigma: Jacobian of the log-scale reparameterization
         return ll + lp + log_sigma
@@ -401,53 +405,50 @@ def sample_posterior(
         fit = fit_ml(e)
     except (EstimationError, DegenerateDataError, DomainError):
         fit = None
-    state = _initial_state(spec, e, logpost, fit)
-    lp_cur = logpost(*state)
+    g_cur, ls_cur = _initial_state(spec, e, logpost, fit)
+    lp_cur = logpost(g_cur, ls_cur)
 
-    total = cfg.burn_in + cfg.draws * cfg.thin
+    burn_in = cfg.burn_in
+    total = burn_in + cfg.draws * cfg.thin
     z = rng.standard_normal((total, 2))
-    log_u = np.log(rng.random(total))
+    log_u = np.log(rng.random(total)).tolist()
+    z0, z1 = z[:, 0].tolist(), z[:, 1].tolist()
 
     cov = _initial_proposal_cov(e, fit)
     scale_factor = 2.38**2 / 2.0
     chol = np.linalg.cholesky(scale_factor * cov + 1e-12 * np.eye(2))
-    l00, l10, l11 = chol[0, 0], chol[1, 0], chol[1, 1]
+    l00, l10, l11 = chol[_CHOL_ENTRIES].tolist()
 
-    history = np.empty((cfg.burn_in, 2)) if cfg.burn_in else None
-    out_g = np.empty(cfg.draws)
-    out_s = np.empty(cfg.draws)
-    accepted_tail = 0
-    n_out = 0
-    g_cur, ls_cur = state
+    # np.cov of this C-order array's transpose: another layout changes its bits
+    history = np.empty((burn_in, 2))
+    trace_g: list[float] = []
+    trace_ls: list[float] = []
+    filled = accepted_tail = 0
 
     for i in range(total):
-        dg = l00 * z[i, 0]
-        dls = l10 * z[i, 0] + l11 * z[i, 1]
-        g_prop, ls_prop = g_cur + dg, ls_cur + dls
+        g_prop = g_cur + l00 * z0[i]
+        ls_prop = ls_cur + (l10 * z0[i] + l11 * z1[i])
         lp_prop = logpost(g_prop, ls_prop)
         if lp_prop - lp_cur > log_u[i]:
             g_cur, ls_cur, lp_cur = g_prop, ls_prop, lp_prop
-            if i >= cfg.burn_in:
+            if i >= burn_in:
                 accepted_tail += 1
-        in_burn = i < cfg.burn_in
-        if in_burn:
-            history[i] = (g_cur, ls_cur)
-            if (i + 1) % cfg.adapt_interval == 0:
-                emp = np.cov(history[: i + 1].T)
-                if np.all(np.isfinite(emp)):
-                    try:
-                        chol = np.linalg.cholesky(
-                            scale_factor * emp + 1e-10 * np.eye(2)
-                        )
-                        l00, l10, l11 = chol[0, 0], chol[1, 0], chol[1, 1]
-                    except np.linalg.LinAlgError:
-                        pass
-        else:
-            j = i - cfg.burn_in
-            if j % cfg.thin == 0:
-                out_g[n_out] = g_cur
-                out_s[n_out] = math.exp(ls_cur)
-                n_out += 1
+        trace_g.append(g_cur)
+        trace_ls.append(ls_cur)
+        if i < burn_in and (i + 1) % cfg.adapt_interval == 0:
+            history[filled : i + 1, 0] = trace_g[filled:]
+            history[filled : i + 1, 1] = trace_ls[filled:]
+            filled = i + 1
+            emp = np.cov(history[: i + 1].T)
+            if np.all(np.isfinite(emp)):
+                try:
+                    chol = np.linalg.cholesky(scale_factor * emp + 1e-10 * np.eye(2))
+                    l00, l10, l11 = chol[_CHOL_ENTRIES].tolist()
+                except np.linalg.LinAlgError:
+                    pass
+    out_g = np.array(trace_g[burn_in :: cfg.thin])
+    # math.exp, not np.exp: the two differ in the last bit on some arguments
+    out_s = np.array([math.exp(v) for v in trace_ls[burn_in :: cfg.thin]])
 
     post_iters = cfg.draws * cfg.thin
     if accepted_tail == 0:

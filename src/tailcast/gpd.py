@@ -157,28 +157,21 @@ def gp_cdf_vec(gamma, sigma, x):
     """GP cdf, broadcasting over parameters and argument.
 
     Clamped to exact 0/1 outside the support so that predictive
-    compositions can probe boundary points safely.
+    compositions can probe boundary points safely.  Like ``gp_pdf_vec``,
+    both branches are evaluated on whole arrays and masked afterwards.
     """
     gamma = np.asarray(gamma, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     x = np.asarray(x, dtype=float)
-    z = np.broadcast_arrays(gamma, sigma, x)
-    gamma, sigma, x = (np.array(a) for a in z)
-    out = np.zeros(gamma.shape, dtype=float)
-
-    pos = x > 0.0
-    zero = _near_zero(gamma) & pos
-    gen = ~_near_zero(gamma) & pos
-    if np.any(zero):
-        out[zero] = -np.expm1(-x[zero] / sigma[zero])
-    if np.any(gen):
-        g, s, xx = gamma[gen], sigma[gen], x[gen]
-        base = 1.0 + g * xx / s
-        past_end = base <= 0.0  # only reachable when g < 0
-        vals = np.ones_like(base)
-        ok = ~past_end
-        vals[ok] = -np.expm1(-np.log(base[ok]) / g[ok])
-        out[gen] = vals
+    zero = _near_zero(gamma)
+    g = np.where(zero, 1.0, gamma)  # near-zero shapes take the exponential branch
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        base = 1.0 + g * x / sigma
+        out = -np.expm1(-np.log(base) / g)
+        if np.any(zero):
+            out = np.where(zero, -np.expm1(-x / sigma), out)
+    # past the endpoint (base <= 0, only reachable when gamma < 0) the cdf is 1
+    out = np.where(x > 0.0, np.where(zero | (base > 0.0), out, 1.0), 0.0)
     return np.clip(out, 0.0, 1.0)
 
 

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .bayes import PosteriorSample
 from .errors import DomainError, InfiniteMeanError, LevelRuleError, NumericError
@@ -50,6 +51,7 @@ __all__ = [
 ]
 
 _CHUNK = 64  # rows per block when evaluating a mixture on an array of points
+_BRENT_RTOL = 4.0 * np.finfo(float).eps  # the smallest relative tolerance brentq accepts
 
 
 class PredictiveModel:
@@ -187,18 +189,17 @@ class BayesianPredictive(PredictiveModel):
             raise NumericError("mixture quantile bracket is empty")
         if hi - lo < 1e-12:
             return lo
-        # mixture cdf is monotone: bisection is unconditionally convergent
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if self.cdf(mid) - prob <= 0.0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= max(1e-10, 4e-16 * abs(hi)):
-                break
-        else:
-            raise NumericError("mixture quantile bisection did not converge")
-        return 0.5 * (lo + hi)
+        # the mixture cdf is monotone and crosses prob inside the per-draw bracket
+        try:
+            return brentq(
+                lambda y: self.cdf(y) - prob, lo, hi, xtol=1e-10, rtol=_BRENT_RTOL
+            )
+        except RuntimeError as exc:
+            raise NumericError(f"mixture quantile did not converge: {exc}") from exc
+        except ValueError:
+            # draws a few ulps apart can round the cdf at both bracket ends
+            # to one side of prob, where brentq has no sign change to follow
+            return lo if self.cdf(lo) >= prob else hi
 
     def mean(self) -> float:
         if np.any(self._g >= 1.0):
@@ -261,7 +262,8 @@ def predictive_interval(m: PredictiveModel, alpha: float) -> PredictiveInterval:
         raise DomainError(f"alpha must lie in (0,1), got {alpha}")
     lower = m.quantile(alpha / 2.0)
     upper = m.quantile(1.0 - alpha / 2.0)
-    mass = m.cdf(upper) - m.cdf(lower)
+    cdf_lower, cdf_upper = m.cdf([lower, upper]).tolist()
+    mass = cdf_upper - cdf_lower
     if abs(mass - (1.0 - alpha)) > m.mass_check_tol:
         raise NumericError(
             f"interval mass {mass!r} misses 1-alpha={1 - alpha!r} "

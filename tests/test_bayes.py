@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,8 +20,9 @@ from tailcast.bayes import (
     posterior_summary,
     sample_posterior,
 )
-from tailcast.errors import DomainError, PriorError, SamplerHealthWarning
+from tailcast.errors import DomainError, EstimationError, PriorError, SamplerHealthWarning
 from tailcast.estimation import exceedances_from_excesses, fit_ml, fit_pwm, pwm_scale
+from tailcast.gpd import GAMMA_ZERO_TOL
 
 
 def flat_prior(lo=-0.45, hi=2.0):
@@ -187,6 +189,158 @@ class TestSampler:
                 widths[k] = hi - lo
             wins += int(widths[2_000] < widths[500])
         assert wins >= 45
+
+
+def reference_chain(spec, e, cfg):
+    """The Metropolis loop as first written, on numpy scalars, with branch counts.
+
+    Returns what ``sample_posterior`` reports of the chain, and how often the
+    log posterior met a shape past the data's endpoint, a point outside the
+    prior, and a near-zero shape.
+    """
+    import tailcast.bayes as bayes
+
+    x = e.excesses
+    k = x.size
+    x_sum = float(np.sum(x))
+    x_max = float(x[-1])
+    visits = {"past_endpoint": 0, "outside_prior": 0, "near_zero_shape": 0}
+
+    def logpost(gamma, log_sigma):
+        if gamma <= -0.5:
+            return -math.inf
+        sigma = math.exp(log_sigma)
+        if gamma < 0.0 and x_max * (-gamma) >= sigma:
+            visits["past_endpoint"] += 1
+            return -math.inf
+        lp = spec.shape.log_density(gamma) + spec.scale.log_density(sigma)
+        if lp == -math.inf:
+            visits["outside_prior"] += 1
+            return -math.inf
+        if abs(gamma) < GAMMA_ZERO_TOL:
+            visits["near_zero_shape"] += 1
+            ll = -k * log_sigma - x_sum / sigma
+        else:
+            ll = -k * log_sigma - (1.0 + 1.0 / gamma) * float(
+                np.sum(np.log1p((gamma / sigma) * x))
+            )
+        return ll + lp + log_sigma
+
+    rng = np.random.default_rng(cfg.seed)
+    try:
+        fit = bayes.fit_ml(e)
+    except EstimationError:
+        fit = None
+    state = bayes._initial_state(spec, e, logpost, fit)
+    lp_cur = logpost(*state)
+    total = cfg.burn_in + cfg.draws * cfg.thin
+    z = rng.standard_normal((total, 2))
+    log_u = np.log(rng.random(total))
+    cov = bayes._initial_proposal_cov(e, fit)
+    scale_factor = 2.38**2 / 2.0
+    chol = np.linalg.cholesky(scale_factor * cov + 1e-12 * np.eye(2))
+    l00, l10, l11 = chol[0, 0], chol[1, 0], chol[1, 1]
+    history = np.empty((cfg.burn_in, 2)) if cfg.burn_in else None
+    out_g = np.empty(cfg.draws)
+    out_s = np.empty(cfg.draws)
+    accepted_tail = 0
+    n_out = 0
+    g_cur, ls_cur = state
+    for i in range(total):
+        dg = l00 * z[i, 0]
+        dls = l10 * z[i, 0] + l11 * z[i, 1]
+        g_prop, ls_prop = g_cur + dg, ls_cur + dls
+        lp_prop = logpost(g_prop, ls_prop)
+        if lp_prop - lp_cur > log_u[i]:
+            g_cur, ls_cur, lp_cur = g_prop, ls_prop, lp_prop
+            if i >= cfg.burn_in:
+                accepted_tail += 1
+        if i < cfg.burn_in:
+            history[i] = (g_cur, ls_cur)
+            if (i + 1) % cfg.adapt_interval == 0:
+                emp = np.cov(history[: i + 1].T)
+                if np.all(np.isfinite(emp)):
+                    try:
+                        chol = np.linalg.cholesky(scale_factor * emp + 1e-10 * np.eye(2))
+                        l00, l10, l11 = chol[0, 0], chol[1, 0], chol[1, 1]
+                    except np.linalg.LinAlgError:
+                        pass
+        elif (i - cfg.burn_in) % cfg.thin == 0:
+            out_g[n_out] = g_cur
+            out_s[n_out] = math.exp(ls_cur)
+            n_out += 1
+    rate = accepted_tail / (cfg.draws * cfg.thin)
+    return (out_g, out_s, rate, (bayes._ess(out_g), bayes._ess(out_s))), visits
+
+
+def _no_fit(e):
+    raise EstimationError("ML fit withheld")
+
+
+_CHAIN_CASES = {
+    # name: (shape of the excesses, k, prior, sampler settings, withhold the ML fit)
+    "heavy-default-thin3": (
+        0.5, 200, "default", SamplerConfig(seed=3, burn_in=700, draws=900, thin=3), False,
+    ),
+    "heavy-window": (
+        0.5, 150, "window", SamplerConfig(seed=4, burn_in=650, draws=1_000, adapt_interval=80),
+        False,
+    ),
+    "near-zero-log-uniform": (
+        0.0, 200, "log-uniform", SamplerConfig(seed=5, burn_in=0, draws=1_500), False,
+    ),
+    "short-custom": (
+        -0.4, 120, "custom", SamplerConfig(seed=6, burn_in=500, draws=1_000, thin=2), False,
+    ),
+    "short-default-burn0": (
+        -0.3, 300, "default", SamplerConfig(seed=7, burn_in=0, draws=1_200), False,
+    ),
+    "fallback-start-at-zero-shape": (
+        0.2, 100, "symmetric-window",
+        SamplerConfig(seed=8, burn_in=430, draws=800, adapt_interval=60), True,
+    ),
+}
+
+
+def _chain_prior(name, e):
+    if name == "default":
+        return default_prior(pwm_scale(e))
+    if name == "window":
+        return PriorSpec(UniformWindowShape(-0.1, 0.45), LogUniformScale())
+    if name == "symmetric-window":  # the fallback start sits at its middle, 0
+        return PriorSpec(UniformWindowShape(-0.5, 0.5), LogUniformScale())
+    if name == "log-uniform":
+        return PriorSpec(UniformWindowShape(-0.45, 2.0), LogUniformScale())
+    return PriorSpec(
+        CustomShape(lambda g: -2.0 * g * g, lo=-0.45, hi=1.5),
+        DataDependentScale(gamma_base_log_density(2.0, 1.0), pwm_scale(e)),
+    )
+
+
+@pytest.mark.parametrize("case", sorted(_CHAIN_CASES))
+def test_sampler_matches_reference_loop_exactly(case, monkeypatch):
+    import tailcast.bayes as bayes
+
+    shape, k, prior_name, cfg, withhold_fit = _CHAIN_CASES[case]
+    if withhold_fit:
+        monkeypatch.setattr(bayes, "fit_ml", _no_fit)
+    e = exceedances_from_excesses(make_excesses(shape, 1.0, k, seed=k))
+    spec = _chain_prior(prior_name, e)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SamplerHealthWarning)
+        ps = sample_posterior(spec, e, cfg)
+    (gammas, sigmas, rate, ess), visits = reference_chain(spec, e, cfg)
+    assert np.array_equal(ps.gammas, gammas)
+    assert np.array_equal(ps.sigmas, sigmas)
+    assert ps.acceptance_rate == rate
+    assert ps.ess == ess
+    # each case reaches the branch it is named for
+    if shape < 0.0:
+        assert visits["past_endpoint"] > 0
+    if prior_name in ("window", "symmetric-window"):
+        assert visits["outside_prior"] > 0
+    if withhold_fit:
+        assert visits["near_zero_shape"] > 0
 
 
 class TestPosteriorSummary:

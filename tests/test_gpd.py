@@ -16,6 +16,7 @@ from tailcast.gpd import (
     extrapolation_weight,
     gp_cdf,
     gp_pdf,
+    gp_cdf_vec,
     gp_pdf_vec,
     gp_quantile,
     gp_sample,
@@ -147,6 +148,42 @@ def test_pdf_vec_equals_masked_form_exactly(params, points):
         for v in points:
             with np.errstate(all="ignore"):
                 assert np.array_equal(gp_pdf_vec(g, s, v), _masked_gp_pdf(g, s, v))
+
+
+def _masked_gp_cdf(gamma, sigma, x):
+    """The masked form gp_cdf_vec had: each branch on its own elements only."""
+    gamma, sigma, x = (np.array(a) for a in np.broadcast_arrays(
+        np.asarray(gamma, dtype=float), np.asarray(sigma, dtype=float),
+        np.asarray(x, dtype=float)))
+    out = np.zeros(gamma.shape)
+    pos = x > 0.0
+    zero = (np.abs(gamma) < GAMMA_ZERO_TOL) & pos
+    gen = (np.abs(gamma) >= GAMMA_ZERO_TOL) & pos
+    out[zero] = -np.expm1(-x[zero] / sigma[zero])
+    g, s, xx = gamma[gen], sigma[gen], x[gen]
+    base = 1.0 + g * xx / s
+    vals = np.ones_like(base)
+    ok = base > 0.0
+    vals[ok] = -np.expm1(-np.log(base[ok]) / g[ok])
+    out[gen] = vals
+    return np.clip(out, 0.0, 1.0)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.lists(st.tuples(_pdf_shapes, st.floats(0.01, 100.0)), min_size=1, max_size=6),
+    st.lists(_pdf_points, min_size=1, max_size=6),
+)
+def test_cdf_vec_equals_masked_form_exactly(params, points):
+    """Whole-array evaluation gives the masked form's values bit for bit."""
+    gamma, sigma = (np.array(v) for v in zip(*params))
+    x = np.array(points)[:, None]  # a (points x parameters) block, as in a mixture
+    assert np.array_equal(gp_cdf_vec(gamma, sigma, x), _masked_gp_cdf(gamma, sigma, x))
+    for g, s in params:
+        for v in points:
+            got, expected = gp_cdf_vec(g, s, v), _masked_gp_cdf(g, s, v)
+            assert np.array_equal(got, expected)
+            assert np.signbit(got) == np.signbit(expected)
 
 
 class TestQuantile:

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import make_excesses
 from tailcast.bayes import PosteriorSample, SamplerConfig, default_prior, sample_posterior
-from tailcast.errors import DomainError, LevelRuleError
+from tailcast.errors import DomainError, LevelRuleError, NumericError
 from tailcast.estimation import GpFit, exceedances_from_excesses, fit_pwm
-from tailcast.gpd import GpParams, LevelPair
+from tailcast.gpd import GpParams, LevelPair, gp_quantile_vec
 from tailcast.predict import (
     bayes_predictive,
     extreme_level_from_c,
@@ -24,18 +25,24 @@ MILAN_PWM = GpFit(GpParams(-0.29, 1.59), "pwm", 169, 34.0, True)
 MILAN_TAU_I = 0.9462
 
 
-def collapsed_posterior(gamma, sigma, m=500, threshold=0.0):
+def posterior_of(gammas, sigmas, threshold=0.0):
+    """A posterior sample holding the given draws."""
+    m = float(len(gammas))
     return PosteriorSample(
-        gammas=np.full(m, gamma),
-        sigmas=np.full(m, sigma),
+        gammas=gammas,
+        sigmas=sigmas,
         acceptance_rate=0.3,
         burn_in=0,
         thin=1,
         seed=0,
-        ess=(float(m), float(m)),
+        ess=(m, m),
         threshold=threshold,
         shape_support=(-0.5, math.inf),
     )
+
+
+def collapsed_posterior(gamma, sigma, m=500, threshold=0.0):
+    return posterior_of(np.full(m, gamma), np.full(m, sigma), threshold)
 
 
 class TestFrequentistIntervals:
@@ -169,6 +176,95 @@ class TestBayesianMixture:
     def test_needs_enough_draws(self):
         with pytest.raises(DomainError):
             bayes_predictive(collapsed_posterior(0.1, 1.0, m=50), 0.0, LevelPair.intermediate(0.9))
+
+
+def per_draw_quantiles(model, prob):
+    """The bracket the mixture quantile searches: each draw's own quantile."""
+    return model.threshold + model._shift + model._scale * gp_quantile_vec(
+        model._g, model._s, prob
+    )
+
+
+def bisection_quantile(model, prob):
+    """The cdf bisection that answered mixture quantiles before the Brent search."""
+    per_draw = per_draw_quantiles(model, prob)
+    lo, hi = float(np.min(per_draw)), float(np.max(per_draw))
+    if hi - lo < 1e-12:
+        return lo
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if model.cdf(mid) - prob <= 0.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= max(1e-10, 4e-16 * abs(hi)):
+            break
+    return 0.5 * (lo + hi)
+
+
+_SHAPE_RANGES = {"positive": (0.05, 0.9), "negative": (-0.45, -0.05), "mixed": (-0.3, 0.5)}
+
+
+@st.composite
+def mixtures(draw):
+    """A 100-draw mixture of the given shape sign, with scales in [1, 3]."""
+    lo, hi = _SHAPE_RANGES[draw(st.sampled_from(sorted(_SHAPE_RANGES)))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    threshold = draw(st.floats(0.0, 10.0))
+    ps = posterior_of(rng.uniform(lo, hi, 100), rng.uniform(1.0, 3.0, 100), threshold)
+    tau_star = draw(st.sampled_from([1.0, 0.3, 0.05]))
+    return bayes_predictive(ps, threshold, LevelPair.from_tau_star(0.9, tau_star))
+
+
+class TestMixtureQuantile:
+    @settings(deadline=None, max_examples=60)
+    @given(mixtures(), st.lists(st.floats(1e-6, 1.0 - 1e-6), min_size=2, max_size=5))
+    def test_quantile_properties(self, model, probs):
+        probs = sorted(probs)
+        qs = [model.quantile(p) for p in probs]
+        assert all(a <= b for a, b in zip(qs, qs[1:]))
+        for p, q in zip(probs, qs):
+            per_draw = per_draw_quantiles(model, p)
+            assert np.min(per_draw) <= q <= np.max(per_draw)
+            assert abs(model.cdf(q) - p) <= 1e-9
+            # where the law is flat, the computed cdf stays within its rounding
+            # (under 1e-15) of p across about 1e-15 / pdf: there any point
+            # of that stretch answers, whichever search finds it
+            flat = 1e-15 / model.pdf(q)
+            assert q == pytest.approx(bisection_quantile(model, p), abs=1e-9 + flat)
+
+    def test_draws_ulps_apart(self):
+        # draws one ulp apart at a large threshold: the computed cdf can round
+        # below 0.95 at both ends of the bracket, leaving no sign change
+        rng = np.random.default_rng(9)
+        gammas = 0.2 + 1e-16 * rng.standard_normal(200)
+        ps = posterior_of(gammas, 1e4 * (1.0 + 1e-16 * rng.standard_normal(200)), 1e6)
+        model = bayes_predictive(ps, 1e6, LevelPair.from_tau_star(0.9, 0.3))
+        per_draw = per_draw_quantiles(model, 0.95)
+        q = model.quantile(0.95)
+        assert np.min(per_draw) <= q <= np.max(per_draw)
+        assert q == pytest.approx(bisection_quantile(model, 0.95), rel=1e-15)
+
+    @pytest.mark.parametrize("offset", [-1e-16, 1e-16])
+    def test_cdf_on_one_side_across_the_bracket(self, offset):
+        ps = posterior_of(np.linspace(0.1, 0.3, 100), np.ones(100))
+        model = bayes_predictive(ps, 0.0, LevelPair.intermediate(0.9))
+        per_draw = per_draw_quantiles(model, 0.5)
+        model.cdf = lambda y: 0.5 + offset  # below p: the bracket's top; above: its bottom
+        expected = np.max(per_draw) if offset < 0.0 else np.min(per_draw)
+        assert model.quantile(0.5) == expected
+
+    def test_unconverged_search_raises(self, monkeypatch):
+        import tailcast.predict as predict
+
+        def fails(*args, **kwargs):
+            raise RuntimeError("Failed to converge after 100 iterations")
+
+        monkeypatch.setattr(predict, "brentq", fails)
+        ps = posterior_of(np.linspace(0.1, 0.3, 100), np.ones(100))
+        model = bayes_predictive(ps, 0.0, LevelPair.intermediate(0.9))
+        with pytest.raises(NumericError):
+            model.quantile(0.5)
 
 
 class TestLevelRules:
