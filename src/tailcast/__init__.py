@@ -53,9 +53,11 @@ from .predict import (
     BayesianPredictive,
     FrequentistPredictive,
     PredictiveInterval,
+    TailFit,
     bayes_predictive,
     extreme_level_from_c,
     extreme_level_from_return_period,
+    fit_tail,
     freq_predictive,
     prediction_grid,
     predictive_interval,

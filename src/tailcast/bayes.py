@@ -280,7 +280,7 @@ class SamplerConfig:
     adapt_interval: int = 100
 
     def __post_init__(self):
-        if self.burn_in < 0 or self.draws < 1 or self.thin < 1:
+        if self.burn_in < 0 or min(self.draws, self.thin, self.adapt_interval) < 1:
             raise DomainError("sampler configuration counts are out of range")
 
 

@@ -12,10 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-
-import numpy as np
 
 from . import io as tio
 from .bayes import (
@@ -28,7 +25,6 @@ from .bayes import (
     default_prior,
     gamma_base_log_density,
     posterior_summary,
-    sample_posterior,
 )
 from .errors import (
     DomainError,
@@ -39,15 +35,13 @@ from .errors import (
     TailcastError,
     DegenerateDataError,
 )
-from .estimation import (
-    endpoint_estimate, fit_ml, fit_pwm, pwm_scale, select_exceedances, SortedSample,
-)
+from .estimation import endpoint_estimate, pwm_scale, select_exceedances, SortedSample
 from .gpd import LevelPair
 from .predict import (
-    bayes_predictive,
+    TailFit,
     extreme_level_from_c,
     extreme_level_from_return_period,
-    freq_predictive,
+    fit_tail,
     prediction_grid,
     predictive_interval,
 )
@@ -86,14 +80,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _threads_from_env() -> int:
-    raw = os.environ.get("TAILCAST_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise DomainError(f"TAILCAST_THREADS must be an integer, got {raw!r}") from None
-
-
 def _check_keys(d: dict, allowed: set[str], context: str) -> None:
     unknown = set(d) - allowed
     if unknown:
@@ -113,13 +99,16 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _sampler_from_config(cfg: dict, seed: int) -> SamplerConfig:
+def _sampler_from_config(
+    cfg: dict, seed: int, burn_in: int = 5_000, draws: int = 20_000
+) -> SamplerConfig:
+    """Sampler from the config's ``sampler`` section over the given defaults."""
     sub = cfg.get("sampler", {})
     _check_keys(sub, {"seed", "burn_in", "draws", "thin", "adapt_interval"}, "sampler")
     return SamplerConfig(
         seed=int(sub.get("seed", seed)),
-        burn_in=int(sub.get("burn_in", 5_000)),
-        draws=int(sub.get("draws", 20_000)),
+        burn_in=int(sub.get("burn_in", burn_in)),
+        draws=int(sub.get("draws", draws)),
         thin=int(sub.get("thin", 1)),
         adapt_interval=int(sub.get("adapt_interval", 100)),
     )
@@ -163,17 +152,19 @@ def _prior_from_config(cfg: dict, scale_anchor: float) -> PriorSpec:
     return PriorSpec(shape=shape, scale=scale)
 
 
-def _emit(args, report: dict, csv_columns: list[str] | None = None) -> None:
-    if args.format == "json":
-        text = json.dumps(tio.jsonable(report), sort_keys=True, indent=2) + "\n"
-    else:
-        flat = _flatten(report)
-        cols = csv_columns or list(flat.keys())
-        text = tio.rows_to_csv_text([flat], cols)
+def _write_out(args, text: str) -> None:
     if args.out:
         tio.atomic_write_text(args.out, text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(args, report: dict) -> None:
+    if args.format == "json":
+        text = json.dumps(tio.jsonable(report), sort_keys=True, indent=2) + "\n"
+    else:
+        text = tio.rows_to_csv_text([_flatten(report)])
+    _write_out(args, text)
 
 
 def _flatten(d: dict, prefix: str = "") -> dict:
@@ -190,26 +181,21 @@ def _flatten(d: dict, prefix: str = "") -> dict:
     return out
 
 
-def _fit_once(sample: SortedSample, k: int, method: str, args, cfg: dict):
-    """Shared fit stage: returns (exceedances, fit-or-None, posterior-or-None)."""
+def _fit_tail(sample: SortedSample, k: int, args, cfg: dict) -> TailFit:
+    """Tail fit of the top ``k`` order statistics; Bayes reads the config."""
     e = select_exceedances(sample, k)
-    if method in ("ml", "pwm"):
-        fit = fit_ml(e) if method == "ml" else fit_pwm(e)
-        return e, fit, None
-    if method == "bayes":
-        anchor = pwm_scale(e)
-        prior = _prior_from_config(cfg, anchor)
-        sampler = _sampler_from_config(cfg, args.seed)
-        ps = sample_posterior(prior, e, sampler)
-        return e, None, ps
-    raise DomainError(f"unknown method {method!r}")
+    if args.method != "bayes":
+        return fit_tail(e, args.method)
+    prior = _prior_from_config(cfg, pwm_scale(e))
+    return fit_tail(e, "bayes", prior, _sampler_from_config(cfg, args.seed))
 
 
 def cmd_fit(args) -> int:
     cfg = _load_config(args.config)
     data = tio.read_numeric_csv(args.input)
     sample = SortedSample.from_data(data)
-    e, fit, ps = _fit_once(sample, args.k, args.method, args, cfg)
+    tail = _fit_tail(sample, args.k, args, cfg)
+    e, fit, ps = tail.e, tail.fit, tail.posterior
     if fit is not None:
         gamma, sigma = fit.params.gamma, fit.params.sigma
         report = {
@@ -283,13 +269,10 @@ def cmd_predict(args) -> int:
         # the return-period rule dictates its own effective sample size
         rule = extreme_level_from_return_period(args.return_period, sample.n)
         k = rule.k
-    e, fit, ps = _fit_once(sample, k, args.method, args, cfg)
-    gamma = fit.params.gamma if fit is not None else float(np.mean(ps.gammas))
-    levels = _levels_for_args(args, e, gamma, rule)
-    if fit is not None:
-        model = freq_predictive(fit, levels)
-    else:
-        model = bayes_predictive(ps, e.threshold, levels)
+    tail = _fit_tail(sample, k, args, cfg)
+    e = tail.e
+    levels = _levels_for_args(args, e, tail.gamma, rule)
+    model = tail.at(levels)
     interval = predictive_interval(model, args.alpha)
     try:
         mean = model.mean()
@@ -347,23 +330,11 @@ def _risk_return_level_table(args, sample: SortedSample, cfg: dict) -> int:
         raise DomainError(f"bad return-period range {args.return_periods!r}")
 
     def factory(k, levels):
-        e = select_exceedances(sample, k)
-        if args.method in ("ml", "pwm"):
-            fit = fit_ml(e) if args.method == "ml" else fit_pwm(e)
-            return freq_predictive(fit, levels)
-        anchor = pwm_scale(e)
-        ps = sample_posterior(
-            _prior_from_config(cfg, anchor), e, _sampler_from_config(cfg, args.seed)
-        )
-        return bayes_predictive(ps, e.threshold, levels)
+        return _fit_tail(sample, k, args, cfg).at(levels)
 
     rows = return_level_curve(factory, sample.n, range(start, stop + 1, step), args.alpha)
     cols = ["T", "tau_e", "k", "point", "lower", "upper", "error"]
-    text = tio.rows_to_csv_text(rows, cols)
-    if args.out:
-        tio.atomic_write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _write_out(args, tio.rows_to_csv_text(rows, cols))
     return 0
 
 
@@ -375,16 +346,13 @@ def cmd_risk(args) -> int:
         return _risk_return_level_table(args, sample, cfg)
     if args.tau_e is None:
         raise DomainError("risk needs --tau-e (or --return-periods for a table)")
-    e, fit, ps = _fit_once(sample, args.k, args.method, args, cfg)
+    tail = _fit_tail(sample, args.k, args, cfg)
+    e = tail.e
     if args.tau_e < e.tau_i:
         raise DomainError(
             f"--tau-e {args.tau_e} lies below the intermediate level {e.tau_i:.6g}"
         )
-    int_levels = LevelPair.intermediate(e.tau_i)
-    if fit is not None:
-        model = freq_predictive(fit, int_levels)
-    else:
-        model = bayes_predictive(ps, e.threshold, int_levels)
+    model = tail.at(LevelPair.intermediate(e.tau_i))
     rep = shortfall_report(model, args.tau_e, args.method, interval_alpha=args.alpha)
     report = {
         "command": "risk",
@@ -429,14 +397,9 @@ def cmd_ts(args) -> int:
         "point", "lower", "upper", "realized", "error",
     ]
     if args.format == "json":
-        report = {"command": "ts", "rows": rows}
-        text = json.dumps(tio.jsonable(report), sort_keys=True, indent=2) + "\n"
+        _emit(args, {"command": "ts", "rows": rows})
     else:
-        text = tio.rows_to_csv_text(rows, cols)
-    if args.out:
-        tio.atomic_write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
+        _write_out(args, tio.rows_to_csv_text(rows, cols))
     return 0
 
 
@@ -494,7 +457,7 @@ def cmd_simulate(args) -> int:
     _check_keys(cfg, _SIM_KEYS, "simulation config")
     experiment = cfg.get("experiment")
     seed = int(cfg.get("seed", args.seed))
-    workers = _threads_from_env()
+    sampler = _sampler_from_config(cfg, seed, burn_in=1_000, draws=2_500)
     out_prefix = args.out or "experiment"
 
     if experiment == "ts-coverage":
@@ -514,10 +477,9 @@ def cmd_simulate(args) -> int:
             alpha=float(sub.get("alpha", 0.05)),
             methods=tuple(cfg.get("methods", ["ml"])),
             seed=seed,
-            sampler=_sampler_light(cfg, seed),
+            sampler=sampler,
             burn=int(sub.get("burn", 200)),
             stride=int(sub["stride"]) if "stride" in sub else None,
-            workers=workers,
         )
         rows = ts_coverage_experiment(ts_cfg)
     else:
@@ -530,10 +492,9 @@ def cmd_simulate(args) -> int:
             replications=int(cfg.get("replications", 100)),
             methods=tuple(cfg.get("methods", ["ml"])),
             seed=seed,
-            sampler=_sampler_light(cfg, seed),
+            sampler=sampler,
             n_ladder=tuple(cfg["n_ladder"]) if cfg.get("n_ladder") else None,
             rel_err_tol=float(cfg.get("rel_err_tol", 0.15)),
-            workers=workers,
         )
         if experiment == "coverage":
             rows = coverage_experiment(exp_cfg).rows()
@@ -556,19 +517,6 @@ def cmd_simulate(args) -> int:
     tio.write_json(out_prefix + ".json", summary)
     sys.stdout.write(f"wrote {out_prefix}.csv and {out_prefix}.json\n")
     return 0
-
-
-def _sampler_light(cfg: dict, seed: int) -> SamplerConfig:
-    """Experiment sampler defaults are lighter than single-fit defaults."""
-    sub = cfg.get("sampler", {})
-    _check_keys(sub, {"seed", "burn_in", "draws", "thin", "adapt_interval"}, "sampler")
-    return SamplerConfig(
-        seed=int(sub.get("seed", seed)),
-        burn_in=int(sub.get("burn_in", 1_000)),
-        draws=int(sub.get("draws", 2_500)),
-        thin=int(sub.get("thin", 1)),
-        adapt_interval=int(sub.get("adapt_interval", 100)),
-    )
 
 
 def build_parser() -> _Parser:

@@ -118,13 +118,7 @@ def _format_cell(v) -> str:
 
 def write_csv_rows(path: str, rows: list[dict], columns: list[str] | None = None) -> None:
     """Write dict rows with a fixed column order (caller's or first row's)."""
-    if not rows:
-        raise DomainError("refusing to write an empty table")
-    cols = columns or list(rows[0].keys())
-    lines = [",".join(cols)]
-    for row in rows:
-        lines.append(",".join(_format_cell(row.get(c, "")) for c in cols))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write_text(path, rows_to_csv_text(rows, columns))
 
 
 def rows_to_csv_text(rows: list[dict], columns: list[str] | None = None) -> str:

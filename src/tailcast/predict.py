@@ -17,9 +17,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .bayes import PosteriorSample
+from .bayes import (
+    PosteriorSample,
+    PriorSpec,
+    SamplerConfig,
+    default_prior,
+    sample_posterior,
+)
 from .errors import DomainError, InfiniteMeanError, LevelRuleError, NumericError
-from .estimation import GpFit
+from .estimation import ExceedanceSet, GpFit, fit_ml, fit_pwm, pwm_scale
 from .gpd import (
     GAMMA_ZERO_TOL,
     GpParams,
@@ -39,6 +45,8 @@ __all__ = [
     "FrequentistPredictive",
     "BayesianPredictive",
     "PredictiveInterval",
+    "TailFit",
+    "fit_tail",
     "freq_predictive",
     "bayes_predictive",
     "predictive_interval",
@@ -80,6 +88,10 @@ class PredictiveModel:
     def support_upper(self) -> float:
         raise NotImplementedError
 
+    def at(self, levels: LevelPair) -> PredictiveModel:
+        """The same fitted law, read at other levels."""
+        raise NotImplementedError
+
 
 class FrequentistPredictive(PredictiveModel):
     """Plug-in GP predictive law anchored at the sample threshold."""
@@ -113,6 +125,9 @@ class FrequentistPredictive(PredictiveModel):
             return math.inf
         m, s = predictive_shift_scale(self.params, self.levels)
         return self.threshold + m + s * self.params.upper
+
+    def at(self, levels: LevelPair) -> FrequentistPredictive:
+        return FrequentistPredictive(self.params, self.threshold, levels)
 
 
 class BayesianPredictive(PredictiveModel):
@@ -224,6 +239,9 @@ class BayesianPredictive(PredictiveModel):
         )
         return float(np.max(uppers))
 
+    def at(self, levels: LevelPair) -> BayesianPredictive:
+        return BayesianPredictive(self.draws, self.threshold, levels)
+
 
 def freq_predictive(fit: GpFit, levels: LevelPair) -> FrequentistPredictive:
     """Predictive law from a frequentist fit, anchored at the fit threshold."""
@@ -235,6 +253,55 @@ def bayes_predictive(
 ) -> BayesianPredictive:
     """Posterior-mixture predictive law anchored at ``threshold``."""
     return BayesianPredictive(ps, threshold, levels)
+
+
+@dataclass(frozen=True)
+class TailFit:
+    """A GP tail fitted to one exceedance set: a point fit or a posterior.
+
+    ``at(levels)`` reads the predictive law of future peaks at any extreme
+    level through threshold stability, so one fit serves every level.
+    """
+
+    e: ExceedanceSet
+    fit: GpFit | None = None
+    posterior: PosteriorSample | None = None
+
+    @property
+    def gamma(self) -> float:
+        """Fitted shape; the posterior mean shape for a Bayesian fit."""
+        if self.fit is not None:
+            return self.fit.params.gamma
+        return float(np.mean(self.posterior.gammas))
+
+    def at(self, levels: LevelPair) -> PredictiveModel:
+        if self.fit is not None:
+            return freq_predictive(self.fit, levels)
+        return bayes_predictive(self.posterior, self.e.threshold, levels)
+
+
+def fit_tail(
+    e: ExceedanceSet,
+    method: str,
+    prior: PriorSpec | None = None,
+    sampler: SamplerConfig | None = None,
+) -> TailFit:
+    """Fit the tail of ``e`` by ``"ml"``, ``"pwm"`` or ``"bayes"``.
+
+    The Bayesian fit defaults to :func:`default_prior` anchored on the PWM
+    scale and to ``SamplerConfig()``; ``prior`` and ``sampler`` are ignored
+    by the point fits.
+    """
+    if method == "ml":
+        return TailFit(e, fit=fit_ml(e))
+    if method == "pwm":
+        return TailFit(e, fit=fit_pwm(e))
+    if method == "bayes":
+        if prior is None:
+            prior = default_prior(scale_anchor=pwm_scale(e))
+        ps = sample_posterior(prior, e, sampler or SamplerConfig())
+        return TailFit(e, posterior=ps)
+    raise DomainError(f"unknown method {method!r}")
 
 
 @dataclass(frozen=True)

@@ -100,8 +100,10 @@ def es_point_forecast(m: PredictiveModel, levels: LevelPair | None = None) -> fl
     replication loops.  Bayesian models are gated on the shape prior:
     support reaching 1 or beyond would admit draws with infinite means.
     """
-    if isinstance(m, BayesianPredictive):
-        lo, hi = m.draws.shape_support
+    # a conditional law's gate is that of the mixture behind its affine map
+    mixture = getattr(m, "residual_model", m)
+    if isinstance(mixture, BayesianPredictive):
+        lo, hi = mixture.draws.shape_support
         if hi > 1.0:
             raise InfiniteMeanError(
                 f"shape prior support ({lo}, {hi}) reaches 1; expected-shortfall "
@@ -136,8 +138,7 @@ def return_level_curve(
             rule = extreme_level_from_return_period(int(T), n)
             m = model_factory(rule.k, LevelPair.intermediate(rule.levels.tau_i))
             point = var_from_predictive(m, rule.levels.tau_star)
-            band_model = _rebuild_at(m, rule.levels)
-            interval = predictive_interval(band_model, alpha)
+            interval = predictive_interval(m.at(rule.levels), alpha)
             row.update(
                 tau_e=rule.levels.tau_e,
                 k=rule.k,
@@ -155,17 +156,6 @@ def return_level_curve(
     return rows
 
 
-def _rebuild_at(m: PredictiveModel, levels: LevelPair) -> PredictiveModel:
-    """Same fitted law, evaluated at different levels."""
-    from .predict import BayesianPredictive, FrequentistPredictive
-
-    if isinstance(m, FrequentistPredictive):
-        return FrequentistPredictive(m.params, m.threshold, levels)
-    if isinstance(m, BayesianPredictive):
-        return BayesianPredictive(m.draws, m.threshold, levels)
-    raise DomainError(f"cannot rebuild model of type {type(m).__name__}")
-
-
 def shortfall_report(
     m: PredictiveModel,
     tau_e: float,
@@ -178,7 +168,7 @@ def shortfall_report(
     es_point = None
     es_reason = None
     ext_levels = LevelPair.from_tau_star(m.levels.tau_i, tau_star)
-    extreme_model = _rebuild_at(m, ext_levels)
+    extreme_model = m.at(ext_levels)
     try:
         es_point = es_point_forecast(extreme_model)
     except InfiniteMeanError as exc:

@@ -4,8 +4,7 @@ Families cover the three domains of attraction (heavy, light, short
 tails), all sampled by inverse cdf so a replication is fully determined by
 its seed.  Replication seeds are spawned from the experiment seed through
 ``numpy.random.SeedSequence([seed, context, replication])``, which makes
-aggregates independent of execution order; with ``workers > 1`` the
-replications run on a thread pool and are aggregated in index order.
+aggregates independent of execution order.
 
 Runners check the observable consequences of the asymptotic theory:
 conditional coverage of predictive intervals, contraction of the Hellinger
@@ -18,13 +17,12 @@ bounds what the estimated arms can sensibly achieve.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.stats import beta as beta_dist
 
-from .bayes import PriorSpec, SamplerConfig, default_prior, sample_posterior
+from .bayes import PriorSpec, SamplerConfig
 from .density import hellinger
 from .errors import (
     DegenerateDataError,
@@ -34,16 +32,16 @@ from .errors import (
     NumericError,
     SamplerError,
 )
-from .estimation import SortedSample, fit_ml, fit_pwm, pwm_scale, select_exceedances
+from .estimation import SortedSample, select_exceedances
 from .gpd import GpParams, LevelPair, Support, gp_pdf, threshold_shift
 from .predict import (
-    bayes_predictive,
-    freq_predictive,
+    FrequentistPredictive,
+    fit_tail,
     predictive_interval,
     tail_equivalence_ratio,
 )
 from .risk import es_point_forecast, var_from_predictive
-from .timeseries import _levelled_models, fit_ar, residual_pipeline
+from .timeseries import conditional_predictive, fit_ar, residual_pipeline
 
 __all__ = [
     "ExactGP",
@@ -284,15 +282,12 @@ class ExperimentConfig:
     prior: PriorSpec | None = None
     n_ladder: tuple[int, ...] | None = None
     rel_err_tol: float = 0.15
-    workers: int = 1
 
     def __post_init__(self):
         if self.replications < 50:
             raise DomainError("experiments need at least 50 replications")
         if not 0.0 < self.alpha < 1.0:
             raise DomainError(f"alpha must lie in (0,1), got {self.alpha}")
-        if self.workers < 1:
-            raise DomainError("workers must be at least 1")
 
 
 def _rep_rng(cfg_seed: int, rep: int, n_ctx: int = 0) -> np.random.Generator:
@@ -305,60 +300,24 @@ def _rep_seed(cfg_seed: int, rep: int, n_ctx: int = 0) -> int:
     )
 
 
-def _map_replications(fn, reps: int, workers: int) -> list:
-    """Run ``fn(0..reps-1)``, serially or on a thread pool, in index order."""
-    if workers <= 1:
-        return [fn(r) for r in range(reps)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(reps)))
-
-
 _FIT_FAILURES = (EstimationError, DegenerateDataError, DomainError)
 _REP_FAILURES = (*_FIT_FAILURES, SamplerError, NumericError, InfiniteMeanError)
 
 
-def _fit_with_fallback(e, method: str):
-    """ML falls back to PWM (flagged) so aggregates stay defined."""
-    if method == "pwm":
-        return fit_pwm(e), False
-    try:
-        return fit_ml(e), False
-    except _FIT_FAILURES:
-        return fit_pwm(e), True
-
-
 def _estimated_model(cfg: ExperimentConfig, method: str, e, rep_seed: int):
-    """(intermediate model, extreme model, fallback flag) for one replication."""
-    int_levels = LevelPair.intermediate(e.tau_i)
-    if method in ("ml", "pwm"):
-        fit, fell_back = _fit_with_fallback(e, method)
-        ext_levels = cfg.level_rule.levels_for(e.tau_i, fit.params.gamma)
-        return (
-            freq_predictive(fit, int_levels),
-            freq_predictive(fit, ext_levels),
-            fell_back,
-        )
-    if method == "bayes":
-        prior = cfg.prior or default_prior(scale_anchor=pwm_scale(e))
-        sampler = replace(cfg.sampler, seed=rep_seed)
-        ps = sample_posterior(prior, e, sampler)
-        gamma_hint = float(np.mean(ps.gammas))
-        ext_levels = cfg.level_rule.levels_for(e.tau_i, gamma_hint)
-        return (
-            bayes_predictive(ps, e.threshold, int_levels),
-            bayes_predictive(ps, e.threshold, ext_levels),
-            False,
-        )
-    raise DomainError(f"unknown method {method!r}")
+    """(intermediate model, extreme model, fallback flag) for one replication.
 
-
-class _OracleFit:
-    """Minimal stand-in for a GpFit when parameters are known exactly."""
-
-    def __init__(self, params: GpParams, threshold: float, k: int):
-        self.params = params
-        self.threshold = threshold
-        self.k = k
+    ML falls back to PWM (flagged) so aggregates stay defined.
+    """
+    try:
+        tail = fit_tail(e, method, cfg.prior, replace(cfg.sampler, seed=rep_seed))
+        fell_back = False
+    except _FIT_FAILURES:
+        if method != "ml":
+            raise
+        tail, fell_back = fit_tail(e, "pwm"), True
+    ext_levels = cfg.level_rule.levels_for(e.tau_i, tail.gamma)
+    return tail.at(LevelPair.intermediate(e.tau_i)), tail.at(ext_levels), fell_back
 
 
 @dataclass(frozen=True)
@@ -440,7 +399,7 @@ def coverage_experiment(cfg: ExperimentConfig) -> CoverageResult:
                 out[method] = None
         return out
 
-    results = _map_replications(one_rep, cfg.replications, cfg.workers)
+    results = [one_rep(rep) for rep in range(cfg.replications)]
 
     stats = {}
     for m in cfg.methods:
@@ -515,9 +474,7 @@ def contraction_experiment(cfg: ExperimentConfig) -> list[dict]:
                         levels = cfg.level_rule.levels_for(tau_i, fam.true_gamma)
                         t_i_true = float(fam.quantile(tau_i))
                         params_i = fam.conditional_excess_params(t_i_true)
-                        model = freq_predictive(
-                            _OracleFit(params_i, t_i_true, k), levels
-                        )
+                        model = FrequentistPredictive(params_i, t_i_true, levels)
                     else:
                         e = select_exceedances(sample, k)
                         _, model, _ = _estimated_model(
@@ -544,7 +501,7 @@ def contraction_experiment(cfg: ExperimentConfig) -> list[dict]:
                     out[method] = None
             return out
 
-        results = _map_replications(one_rep, cfg.replications, cfg.workers)
+        results = [one_rep(rep) for rep in range(cfg.replications)]
         for method in cfg.methods:
             arr = np.asarray([r[method] for r in results if r[method] is not None])
             rows.append(
@@ -593,9 +550,8 @@ def tail_equivalence_experiment(cfg: ExperimentConfig) -> list[dict]:
                         tau_i = 1.0 - k / n
                         t_i_true = float(fam.quantile(tau_i))
                         params_i = fam.conditional_excess_params(t_i_true)
-                        model = freq_predictive(
-                            _OracleFit(params_i, t_i_true, k),
-                            LevelPair.intermediate(tau_i),
+                        model = FrequentistPredictive(
+                            params_i, t_i_true, LevelPair.intermediate(tau_i)
                         )
                         tau_i_eff = tau_i
                     else:
@@ -611,7 +567,7 @@ def tail_equivalence_experiment(cfg: ExperimentConfig) -> list[dict]:
                     out[method] = None
             return out
 
-        results = _map_replications(one_rep, cfg.replications, cfg.workers)
+        results = [one_rep(rep) for rep in range(cfg.replications)]
         for method in cfg.methods:
             arr = np.asarray([r[method] for r in results if r[method] is not None])
             if arr.size:
@@ -689,7 +645,7 @@ def risk_error_experiment(cfg: ExperimentConfig) -> list[dict]:
                 out[method] = None
         return out
 
-    results = _map_replications(one_rep, cfg.replications, cfg.workers)
+    results = [one_rep(rep) for rep in range(cfg.replications)]
 
     rows: list[dict] = []
     for method in cfg.methods:
@@ -740,7 +696,6 @@ class TsCoverageConfig:
     burn: int = 200
     stride: int | None = None
     ar_intercept: bool = True  # uncentered innovations need the intercept
-    workers: int = 1
 
 
 def ts_coverage_experiment(cfg: TsCoverageConfig) -> list[dict]:
@@ -774,7 +729,7 @@ def ts_coverage_experiment(cfg: TsCoverageConfig) -> list[dict]:
                 tau_i = 1.0 - cfg.k / n_res
                 ext_levels = LevelPair.from_tau_star(tau_i, cfg.tau_star)
                 sampler = replace(cfg.sampler, seed=_rep_seed(cfg.seed, j, n_ctx=2))
-                _, model_ext = _levelled_models(
+                model_ext = conditional_predictive(
                     rs, cfg.k, ext_levels, method, cfg.prior, sampler
                 )
                 interval = predictive_interval(model_ext, cfg.alpha)
@@ -791,7 +746,7 @@ def ts_coverage_experiment(cfg: TsCoverageConfig) -> list[dict]:
                 out[method] = None
         return out
 
-    results = _map_replications(one_origin, cfg.origins, cfg.workers)
+    results = [one_origin(j) for j in range(cfg.origins)]
 
     rows: list[dict] = []
     for method in cfg.methods:

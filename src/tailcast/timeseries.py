@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import minimize
 from scipy.signal import lfilter
 
-from .bayes import PriorSpec, SamplerConfig, default_prior, sample_posterior
+from .bayes import PriorSpec, SamplerConfig
 from .errors import (
     BoundaryWarning,
     DegenerateDataError,
@@ -26,14 +26,9 @@ from .errors import (
     EstimationError,
     TailcastError,
 )
-from .estimation import SortedSample, fit_ml, fit_pwm, pwm_scale, select_exceedances
+from .estimation import SortedSample, select_exceedances
 from .gpd import LevelPair
-from .predict import (
-    PredictiveModel,
-    bayes_predictive,
-    freq_predictive,
-    predictive_interval,
-)
+from .predict import PredictiveModel, fit_tail, predictive_interval
 from .risk import var_from_predictive
 
 __all__ = [
@@ -394,6 +389,9 @@ class AffinePredictive(PredictiveModel):
     def support_upper(self) -> float:
         return self.loc + self.scale * self.residual_model.support_upper()
 
+    def at(self, levels: LevelPair) -> AffinePredictive:
+        return AffinePredictive(self.residual_model.at(levels), self.loc, self.scale)
+
 
 def conditional_predictive(
     rs: ResidualSeries,
@@ -409,51 +407,10 @@ def conditional_predictive(
     on the residual array, then wraps it with the one-step-ahead affine
     map.  ``levels=None`` uses the intermediate level implied by ``k``.
     """
-    s = SortedSample.from_data(rs.residuals)
-    e = select_exceedances(s, k)
-    if levels is None:
-        levels = LevelPair.intermediate(e.tau_i)
-    if method in ("ml", "pwm"):
-        fit = fit_ml(e) if method == "ml" else fit_pwm(e)
-        inner = freq_predictive(fit, levels)
-    elif method == "bayes":
-        if prior is None:
-            prior = default_prior(scale_anchor=pwm_scale(e))
-        ps = sample_posterior(prior, e, sampler or SamplerConfig())
-        inner = bayes_predictive(ps, e.threshold, levels)
-    else:
-        raise DomainError(f"unknown method {method!r}")
+    e = select_exceedances(SortedSample.from_data(rs.residuals), k)
+    tail = fit_tail(e, method, prior, sampler)
+    inner = tail.at(LevelPair.intermediate(e.tau_i) if levels is None else levels)
     return AffinePredictive(inner, rs.mu_next, rs.xi_next)
-
-
-def _levelled_models(
-    rs: ResidualSeries,
-    k: int,
-    ext_levels: LevelPair,
-    method: str,
-    prior: PriorSpec | None,
-    sampler: SamplerConfig | None,
-) -> tuple[AffinePredictive, AffinePredictive]:
-    """One fit, two level views: the intermediate law and the extreme law."""
-    s = SortedSample.from_data(rs.residuals)
-    e = select_exceedances(s, k)
-    int_levels = LevelPair.intermediate(e.tau_i)
-    if method in ("ml", "pwm"):
-        fit = fit_ml(e) if method == "ml" else fit_pwm(e)
-        inner_int = freq_predictive(fit, int_levels)
-        inner_ext = freq_predictive(fit, ext_levels)
-    elif method == "bayes":
-        if prior is None:
-            prior = default_prior(scale_anchor=pwm_scale(e))
-        ps = sample_posterior(prior, e, sampler or SamplerConfig())
-        inner_int = bayes_predictive(ps, e.threshold, int_levels)
-        inner_ext = bayes_predictive(ps, e.threshold, ext_levels)
-    else:
-        raise DomainError(f"unknown method {method!r}")
-    return (
-        AffinePredictive(inner_int, rs.mu_next, rs.xi_next),
-        AffinePredictive(inner_ext, rs.mu_next, rs.xi_next),
-    )
 
 
 @dataclass(frozen=True)
@@ -528,29 +485,21 @@ def rolling_forecast(series, window: int, stride: int, cfg: RollingConfig) -> li
                     f"tau_e={cfg.tau_e} lies below the intermediate level {tau_i:.4f}"
                 )
             tau_star = (1.0 - cfg.tau_e) / (1.0 - tau_i)
-            sampler = cfg.sampler
-            if cfg.method == "bayes":
-                base = sampler or SamplerConfig()
-                sampler = SamplerConfig(
-                    seed=_origin_seed(cfg.seed, origin),
-                    burn_in=base.burn_in,
-                    draws=base.draws,
-                    thin=base.thin,
-                    adapt_interval=base.adapt_interval,
-                )
-            ext_levels = LevelPair.from_tau_star(tau_i, tau_star)
-            model_int, model_ext = _levelled_models(
-                rs, cfg.k, ext_levels, cfg.method, cfg.prior, sampler
+            sampler = replace(
+                cfg.sampler or SamplerConfig(), seed=_origin_seed(cfg.seed, origin)
             )
-            point = var_from_predictive(model_int.residual_model, tau_star)
-            point_obs = rs.mu_next + rs.xi_next * point
+            model_int = conditional_predictive(
+                rs, cfg.k, None, cfg.method, cfg.prior, sampler
+            )
+            model_ext = model_int.at(LevelPair.from_tau_star(tau_i, tau_star))
+            point = var_from_predictive(model_int, tau_star)
             interval = predictive_interval(model_ext, cfg.alpha)
             realized = float(y_all[j_target]) if j_target < n else math.nan
             row.update(
                 mu_next=rs.mu_next,
                 xi_next=rs.xi_next,
                 threshold_obs=model_int.threshold,
-                point=point_obs,
+                point=point,
                 lower=interval.lower,
                 upper=interval.upper,
                 realized=realized,

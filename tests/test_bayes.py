@@ -110,6 +110,11 @@ class TestLogPosterior:
 
 
 class TestSampler:
+    @pytest.mark.parametrize("adapt_interval", [0, -5])
+    def test_adapt_interval_must_be_positive(self, adapt_interval):
+        with pytest.raises(DomainError):
+            SamplerConfig(adapt_interval=adapt_interval)
+
     def test_determinism(self):
         e = exceedances_from_excesses(make_excesses(0.3, 1.0, 500, seed=8))
         prior = default_prior(fit_pwm(e).params.sigma)

@@ -87,6 +87,14 @@ class TestFit:
     def test_missing_required_flag_exit_3(self, exp_csv):
         assert main(["fit", "--input", exp_csv]) == 3
 
+    def test_bad_adapt_interval_exit_3(self, exp_csv, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sampler": {"adapt_interval": 0}}))
+        code = main(["fit", "--input", exp_csv, "--k", "500", "--method", "bayes",
+                     "--config", str(cfg)])
+        assert code == 3
+        assert "out of range" in capsys.readouterr().err
+
     def test_csv_format(self, exp_csv, tmp_path):
         out = tmp_path / "fit.csv"
         code = main(["fit", "--input", exp_csv, "--k", "500", "--format", "csv",
@@ -148,7 +156,7 @@ class TestPredict:
         assert doc["levels"]["tau_star"] == 0.25
 
     def test_return_period_fits_once_at_rule_k(self, pareto_csv, tmp_path, monkeypatch):
-        import tailcast.cli as cli
+        import tailcast.predict as predict
 
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"sampler": {"burn_in": 400, "draws": 1200}}))
@@ -158,8 +166,8 @@ class TestPredict:
             calls.append(a[1].k)
             return real(*a, **kw)
 
-        real = cli.sample_posterior
-        monkeypatch.setattr(cli, "sample_posterior", counted)
+        real = predict.sample_posterior
+        monkeypatch.setattr(predict, "sample_posterior", counted)
         docs = []
         for k in ("50", "219"):  # round(4 * 20_000 / 365) = 219
             out = tmp_path / f"rp{k}.json"

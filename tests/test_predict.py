@@ -7,12 +7,21 @@ from hypothesis import given, settings, strategies as st
 from conftest import make_excesses
 from tailcast.bayes import PosteriorSample, SamplerConfig, default_prior, sample_posterior
 from tailcast.errors import DomainError, LevelRuleError, NumericError
-from tailcast.estimation import GpFit, exceedances_from_excesses, fit_pwm
+from tailcast.estimation import (
+    GpFit,
+    exceedances_from_excesses,
+    fit_ml,
+    fit_pwm,
+    pwm_scale,
+)
 from tailcast.gpd import GpParams, LevelPair, gp_quantile_vec
 from tailcast.predict import (
+    BayesianPredictive,
+    FrequentistPredictive,
     bayes_predictive,
     extreme_level_from_c,
     extreme_level_from_return_period,
+    fit_tail,
     freq_predictive,
     prediction_grid,
     predictive_interval,
@@ -370,3 +379,73 @@ class TestGridExport:
         model = freq_predictive(MILAN_ML, LevelPair.intermediate(MILAN_TAU_I))
         with pytest.raises(DomainError):
             prediction_grid(model, 35.0, 34.0, 10)
+
+
+class TestFitTail:
+    LEVELS = LevelPair.from_tau_star(0.9, 0.2)
+    PROBS = (0.0, 0.025, 0.5, 0.975)
+
+    @pytest.fixture(scope="class")
+    def e(self):
+        return exceedances_from_excesses(
+            make_excesses(0.2, 1.0, 400, seed=61), threshold=3.0, tau_i=0.9
+        )
+
+    @pytest.mark.parametrize("method,fitter", [("ml", fit_ml), ("pwm", fit_pwm)])
+    def test_point_fit_equals_direct_law(self, e, method, fitter):
+        tail = fit_tail(e, method)
+        direct = freq_predictive(fitter(e), self.LEVELS)
+        model = tail.at(self.LEVELS)
+        ys = np.linspace(direct.support_lower(), direct.quantile(0.99), 25)
+        assert tail.gamma == direct.params.gamma
+        assert np.array_equal(model.cdf(ys), direct.cdf(ys))
+        assert [model.quantile(p) for p in self.PROBS] == [
+            direct.quantile(p) for p in self.PROBS
+        ]
+        assert predictive_interval(model, 0.05) == predictive_interval(direct, 0.05)
+
+    def test_bayes_draws_equal_default_prior_chain(self, e):
+        sampler = SamplerConfig(seed=9, burn_in=300, draws=600)
+        tail = fit_tail(e, "bayes", sampler=sampler)
+        direct = sample_posterior(default_prior(pwm_scale(e)), e, sampler)
+        assert np.array_equal(tail.posterior.gammas, direct.gammas)
+        assert np.array_equal(tail.posterior.sigmas, direct.sigmas)
+        assert tail.gamma == float(np.mean(direct.gammas))
+        model = tail.at(self.LEVELS)
+        assert model.threshold == e.threshold and model.levels == self.LEVELS
+
+    def test_unknown_method(self, e):
+        with pytest.raises(DomainError, match="unknown method"):
+            fit_tail(e, "hill")
+
+
+class TestRelevel:
+    FROM = LevelPair.intermediate(0.95)
+    TO = LevelPair.from_tau_star(0.95, 0.1)
+
+    def assert_same_law(self, got, built):
+        assert type(got) is type(built) and got.levels == built.levels
+        ys = np.linspace(built.support_lower(), built.quantile(0.99), 20)
+        assert np.array_equal(got.cdf(ys), built.cdf(ys))
+        assert np.array_equal(got.pdf(ys), built.pdf(ys))
+        assert got.quantile(0.5) == built.quantile(0.5)
+
+    def test_frequentist(self):
+        model = FrequentistPredictive(GpParams(-0.2, 1.5), 4.0, self.FROM)
+        built = FrequentistPredictive(GpParams(-0.2, 1.5), 4.0, self.TO)
+        self.assert_same_law(model.at(self.TO), built)
+
+    def test_bayesian(self):
+        rng = np.random.default_rng(62)
+        ps = posterior_of(rng.uniform(-0.3, 0.4, 300), rng.uniform(0.8, 1.2, 300))
+        model = BayesianPredictive(ps, 4.0, self.FROM)
+        self.assert_same_law(model.at(self.TO), BayesianPredictive(ps, 4.0, self.TO))
+
+    def test_affine(self):
+        from tailcast.timeseries import AffinePredictive
+
+        inner = FrequentistPredictive(GpParams(0.3, 1.0), 2.0, self.FROM)
+        model = AffinePredictive(inner, 0.5, 2.0).at(self.TO)
+        built = AffinePredictive(inner.at(self.TO), 0.5, 2.0)
+        self.assert_same_law(model, built)
+        assert (model.loc, model.scale) == (built.loc, built.scale)

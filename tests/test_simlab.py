@@ -127,11 +127,6 @@ class TestCoverage:
         b = rows_to_csv_text(coverage_experiment(small_cfg()).rows())
         assert a == b
 
-    def test_thread_pool_matches_serial(self):
-        serial = coverage_experiment(small_cfg(workers=1)).rows()
-        threaded = coverage_experiment(small_cfg(workers=3)).rows()
-        assert serial == threaded
-
 
 class TestContraction:
     def test_oracle_distance_is_zero(self):

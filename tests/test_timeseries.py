@@ -285,6 +285,30 @@ class TestConditionalPredictive:
         assert model.residual_model.threshold == direct.threshold
         assert model.residual_model.levels == direct.levels
 
+    @pytest.mark.parametrize("method", ["ml", "bayes"])
+    def test_shortfall_report_maps_affinely(self, method):
+        from tailcast.bayes import SamplerConfig
+        from tailcast.risk import shortfall_report
+
+        y, _ = simulate_ar1(0.6, 3_000, seed=14, innovations="pareto2")
+        rs = residual_pipeline(y, fit_ar(y, 1))
+        sampler = SamplerConfig(seed=3, burn_in=300, draws=600)
+        model = conditional_predictive(rs, 300, None, method, sampler=sampler)
+        outer = shortfall_report(model, 0.9995, method, interval_alpha=0.05)
+        inner = shortfall_report(model.residual_model, 0.9995, method, interval_alpha=0.05)
+
+        def affine(v):
+            return rs.mu_next + rs.xi_next * v
+
+        assert outer.var_point == affine(inner.var_point)
+        assert outer.interval.lower == affine(inner.interval.lower)
+        assert outer.interval.upper == affine(inner.interval.upper)
+        if method == "ml":
+            assert outer.es_point == affine(inner.es_point)
+        else:  # the default shape prior reaches 1, so neither report has an ES
+            assert outer.es_point is None and inner.es_point is None
+            assert outer.es_reason == inner.es_reason
+
     def test_affine_equivariance_of_pipeline(self):
         y, _ = simulate_ar1(0.6, 4_000, seed=13, innovations="pareto2")
 
