@@ -277,13 +277,16 @@ def fit_ml(e: ExceedanceSet) -> GpFit:
     for attempt, start in enumerate(starts + fallback):
         if attempt >= len(starts) and best is not None and _grad_ok(best, x):
             break
-        res = minimize(
-            gp_negloglik,
-            start,
-            args=(x,),
-            method="Nelder-Mead",
-            options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": 2000},
-        )
+        # the simplex may reach points where the objective is infinite, and
+        # scipy's convergence test then subtracts inf from inf
+        with np.errstate(invalid="ignore"):
+            res = minimize(
+                gp_negloglik,
+                start,
+                args=(x,),
+                method="Nelder-Mead",
+                options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": 2000},
+            )
         cand = _newton_polish(res.x, x)
         val = gp_negloglik(cand, x)
         if val < best_val:

@@ -17,7 +17,8 @@ bounds what the estimated arms can sensibly achieve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from collections import Counter
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 from scipy.stats import beta as beta_dist
@@ -33,9 +34,19 @@ from .errors import (
     SamplerError,
 )
 from .estimation import SortedSample, select_exceedances
-from .gpd import GpParams, LevelPair, Support, gp_pdf, threshold_shift
+from .gpd import (
+    GpParams,
+    LevelPair,
+    Support,
+    gp_cdf_vec,
+    gp_pdf,
+    gp_quantile_vec,
+    threshold_shift,
+)
 from .predict import (
     FrequentistPredictive,
+    PredictiveInterval,
+    extreme_level_from_c,
     fit_tail,
     predictive_interval,
     tail_equivalence_ratio,
@@ -77,13 +88,9 @@ class ExactGP:
         return self.gamma
 
     def quantile(self, u):
-        from .gpd import gp_quantile_vec
-
         return gp_quantile_vec(self.gamma, self.sigma, u)
 
     def cdf(self, x):
-        from .gpd import gp_cdf_vec
-
         return gp_cdf_vec(self.gamma, self.sigma, x)
 
     def conditional_excess_params(self, t: float) -> GpParams:
@@ -258,8 +265,6 @@ class LevelRule:
         if self.kind == "tau-star":
             return LevelPair.from_tau_star(tau_i, self.value)
         if self.kind == "c":
-            from .predict import extreme_level_from_c
-
             if gamma is None:
                 raise DomainError("the endpoint-gap rule needs a shape estimate")
             return extreme_level_from_c(gamma, tau_i, self.value)
@@ -290,10 +295,6 @@ class ExperimentConfig:
             raise DomainError(f"alpha must lie in (0,1), got {self.alpha}")
 
 
-def _rep_rng(cfg_seed: int, rep: int, n_ctx: int = 0) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([cfg_seed, n_ctx, rep]))
-
-
 def _rep_seed(cfg_seed: int, rep: int, n_ctx: int = 0) -> int:
     return int(
         np.random.SeedSequence([cfg_seed, n_ctx, rep, 7]).generate_state(1)[0]
@@ -304,11 +305,99 @@ _FIT_FAILURES = (EstimationError, DegenerateDataError, DomainError)
 _REP_FAILURES = (*_FIT_FAILURES, SamplerError, NumericError, InfiniteMeanError)
 
 
-def _estimated_model(cfg: ExperimentConfig, method: str, e, rep_seed: int):
-    """(intermediate model, extreme model, fallback flag) for one replication.
+@dataclass
+class _Tally:
+    """One method's replications: the values of those that succeeded, how
+    many of them fell back from ML to PWM, and the failures by class."""
+
+    values: list = field(default_factory=list)
+    fallbacks: int = 0
+    reasons: Counter = field(default_factory=Counter)
+
+    def columns(self) -> dict:
+        """The failure columns of a row, e.g. ``"EstimationError:2;SamplerError:1"``."""
+        return {
+            "failures": sum(self.reasons.values()),
+            "fallbacks": self.fallbacks,
+            "failure_reasons": ";".join(
+                f"{name}:{count}" for name, count in sorted(self.reasons.items())
+            ),
+        }
+
+
+def _replicate(methods, reps: int, draw, evaluate) -> dict[str, _Tally]:
+    """Run every method on every replication.
+
+    ``draw(rep)`` is called once per replication, before any method runs,
+    and ``evaluate(method, rep, ctx)`` returns ``(value, fell_back)``.  A
+    failure in ``_REP_FAILURES`` is counted by class; any other exception
+    is a bug and propagates.
+    """
+    tallies = {m: _Tally() for m in methods}
+    for rep in range(reps):
+        ctx = draw(rep)
+        for method, tally in tallies.items():
+            try:
+                value, fell_back = evaluate(method, rep, ctx)
+            except _REP_FAILURES as exc:
+                tally.reasons[type(exc).__name__] += 1
+            else:
+                tally.values.append(value)
+                tally.fallbacks += fell_back
+    return tallies
+
+
+def _draw(cfg: ExperimentConfig, n: int, rep: int, n_ctx: int):
+    """Replication ``rep``'s sample of size ``n``, and the rng that seeded it."""
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, n_ctx, rep]))
+    return generate(cfg.generator, n, seed=int(rng.integers(2**63))), rng
+
+
+def _rows_at(cfg: ExperimentConfig, n: int, n_ctx: int, evaluate, summarise):
+    """One row per method at sample size ``n``.
+
+    ``evaluate(method, sample, k, rep_seed)`` scores one replication and
+    ``summarise(values)`` turns a method's scores into the row's statistics.
+    ``n_ctx`` enters the replication seeds: the ladder experiments pass ``n``
+    even without a ladder, the others 0.
+    """
+    k = cfg.k_rule.k_for(n)
+    tallies = _replicate(
+        cfg.methods,
+        cfg.replications,
+        lambda rep: _draw(cfg, n, rep, n_ctx)[0],
+        lambda method, rep, sample: evaluate(
+            method, sample, k, _rep_seed(cfg.seed, rep, n_ctx)
+        ),
+    )
+    return [
+        {
+            "n": n,
+            "k": k,
+            "method": m,
+            **summarise(tallies[m].values),
+            "replications": len(tallies[m].values),
+            **tallies[m].columns(),
+        }
+        for m in cfg.methods
+    ]
+
+
+def _quantiles(values, *probs: float) -> list[float]:
+    """Quantiles of ``values`` (``np.median`` at 0.5), NaN when there are none."""
+    arr = np.asarray(values)
+    if not arr.size:
+        return [math.nan] * len(probs)
+    return [float(np.median(arr) if p == 0.5 else np.quantile(arr, p)) for p in probs]
+
+
+def _estimated_model(cfg: ExperimentConfig, method: str, sample, k: int, rep_seed: int):
+    """(intermediate model, extreme model, fallback flag) fitted to the top
+    ``k`` of one replication's sample.
 
     ML falls back to PWM (flagged) so aggregates stay defined.
     """
+    e = select_exceedances(sample, k)
     try:
         tail = fit_tail(e, method, cfg.prior, replace(cfg.sampler, seed=rep_seed))
         fell_back = False
@@ -320,6 +409,12 @@ def _estimated_model(cfg: ExperimentConfig, method: str, e, rep_seed: int):
     return tail.at(LevelPair.intermediate(e.tau_i)), tail.at(ext_levels), fell_back
 
 
+def _oracle_model(fam: ExactGP, tau_i: float, levels: LevelPair):
+    """The predictive law from true parameters at the true ``tau_i`` quantile."""
+    t_i = float(fam.quantile(tau_i))
+    return FrequentistPredictive(fam.conditional_excess_params(t_i), t_i, levels)
+
+
 @dataclass(frozen=True)
 class CoverageStat:
     method: str
@@ -329,6 +424,7 @@ class CoverageStat:
     n_used: int
     failures: int
     fallbacks: int
+    failure_reasons: str
 
 
 @dataclass(frozen=True)
@@ -337,18 +433,7 @@ class CoverageResult:
     config_seed: int
 
     def rows(self) -> list[dict]:
-        return [
-            {
-                "method": s.method,
-                "coverage": s.coverage,
-                "se": s.se,
-                "mean_width": s.mean_width,
-                "n_used": s.n_used,
-                "failures": s.failures,
-                "fallbacks": s.fallbacks,
-            }
-            for s in self.stats.values()
-        ]
+        return [asdict(s) for s in self.stats.values()]
 
 
 def coverage_experiment(cfg: ExperimentConfig) -> CoverageResult:
@@ -361,68 +446,46 @@ def coverage_experiment(cfg: ExperimentConfig) -> CoverageResult:
     """
     fam = cfg.generator.family
     k = cfg.k_rule.k_for(cfg.n)
-    tau_i_nominal = 1.0 - k / cfg.n
-    if cfg.level_rule.kind == "tau-star":
-        oracle_levels = cfg.level_rule.levels_for(tau_i_nominal)
-    else:
-        oracle_levels = cfg.level_rule.levels_for(tau_i_nominal, fam.true_gamma)
+    oracle_levels = cfg.level_rule.levels_for(1.0 - k / cfg.n, fam.true_gamma)
 
-    def one_rep(rep: int) -> dict:
-        rng = _rep_rng(cfg.seed, rep)
-        sample = generate(cfg.generator, cfg.n, seed=int(rng.integers(2**63)))
-        u_test = rng.random()
-        out: dict = {}
-        for method in cfg.methods:
-            try:
-                if method == "oracle":
-                    tau_e = oracle_levels.tau_e
-                    x_test = float(fam.quantile(tau_e + u_test * (1.0 - tau_e)))
-                    lo = float(fam.quantile(tau_e + (cfg.alpha / 2) * (1 - tau_e)))
-                    hi = float(
-                        fam.quantile(tau_e + (1 - cfg.alpha / 2) * (1 - tau_e))
-                    )
-                    out[method] = (int(lo <= x_test <= hi), hi - lo, 0)
-                else:
-                    e = select_exceedances(sample, k)
-                    _, model_ext, fell_back = _estimated_model(
-                        cfg, method, e, _rep_seed(cfg.seed, rep)
-                    )
-                    tau_e = model_ext.levels.tau_e
-                    x_test = float(fam.quantile(tau_e + u_test * (1.0 - tau_e)))
-                    interval = predictive_interval(model_ext, cfg.alpha)
-                    out[method] = (
-                        int(interval.contains(x_test)),
-                        interval.width,
-                        int(fell_back),
-                    )
-            except _REP_FAILURES:
-                out[method] = None
-        return out
+    def peak_quantile(tau_e: float, p: float) -> float:
+        """The true ``p`` quantile of a peak above the ``tau_e`` quantile."""
+        return float(fam.quantile(tau_e + p * (1.0 - tau_e)))
 
-    results = [one_rep(rep) for rep in range(cfg.replications)]
+    def draw(rep: int):
+        sample, rng = _draw(cfg, cfg.n, rep, 0)
+        return sample, rng.random()
 
+    def evaluate(method: str, rep: int, ctx):
+        sample, u_test = ctx
+        if method == "oracle":
+            tau_e, fell_back = oracle_levels.tau_e, False
+            interval = PredictiveInterval(
+                peak_quantile(tau_e, cfg.alpha / 2),
+                peak_quantile(tau_e, 1 - cfg.alpha / 2),
+                cfg.alpha,
+            )
+        else:
+            _, model_ext, fell_back = _estimated_model(
+                cfg, method, sample, k, _rep_seed(cfg.seed, rep)
+            )
+            tau_e = model_ext.levels.tau_e
+            interval = predictive_interval(model_ext, cfg.alpha)
+        covered = interval.contains(peak_quantile(tau_e, u_test))
+        return (int(covered), interval.width), fell_back
+
+    tallies = _replicate(cfg.methods, cfg.replications, draw, evaluate)
     stats = {}
     for m in cfg.methods:
-        oks = [r[m] for r in results if r[m] is not None]
+        oks = tallies[m].values
         n_used = len(oks)
-        failures = cfg.replications - n_used
         if n_used:
             cov = sum(o[0] for o in oks) / n_used
             se = math.sqrt(cov * (1.0 - cov) / n_used)
             width = sum(o[1] for o in oks) / n_used
-            fallbacks = sum(o[2] for o in oks)
         else:
             cov = se = width = math.nan
-            fallbacks = 0
-        stats[m] = CoverageStat(
-            method=m,
-            coverage=cov,
-            se=se,
-            mean_width=width,
-            n_used=n_used,
-            failures=failures,
-            fallbacks=fallbacks,
-        )
+        stats[m] = CoverageStat(m, cov, se, width, n_used, **tallies[m].columns())
     return CoverageResult(stats=stats, config_seed=cfg.seed)
 
 
@@ -457,66 +520,36 @@ def contraction_experiment(cfg: ExperimentConfig) -> list[dict]:
     fam = cfg.generator.family
     if not isinstance(fam, ExactGP):
         raise DomainError("contraction experiments need the exact-GP generator")
+
+    def evaluate(method: str, sample, k: int, rep_seed: int):
+        if method == "oracle":
+            tau_i = 1.0 - k / sample.n
+            levels = cfg.level_rule.levels_for(tau_i, fam.true_gamma)
+            model, fell_back = _oracle_model(fam, tau_i, levels), False
+        else:
+            _, model, fell_back = _estimated_model(cfg, method, sample, k, rep_seed)
+        t_e_true = float(fam.quantile(model.levels.tau_e))
+        true_pdf, excess_params = _true_peak_pdf(fam, t_e_true)
+        lower = min(model.support_lower(), t_e_true)
+        upper_true = (
+            t_e_true + excess_params.upper if excess_params.gamma < 0 else math.inf
+        )
+        upper = max(model.support_upper(), upper_true)
+        distance = hellinger(
+            true_pdf,
+            model.pdf,
+            Support(lower, upper),
+            abs_tol=HELLINGER_ABS_TOL[method],
+            breakpoints=(t_e_true, model.support_lower()),
+        )
+        return distance, fell_back
+
+    def summarise(values) -> dict:
+        med, q10, q90 = _quantiles(values, 0.5, 0.1, 0.9)
+        return {"median_hellinger": med, "q10": q10, "q90": q90}
+
     ladder = cfg.n_ladder or (cfg.n,)
-
-    rows: list[dict] = []
-    for n in ladder:
-        k = cfg.k_rule.k_for(n)
-
-        def one_rep(rep: int, n=n, k=k) -> dict:
-            rng = _rep_rng(cfg.seed, rep, n_ctx=n)
-            sample = generate(cfg.generator, n, seed=int(rng.integers(2**63)))
-            out: dict = {}
-            for method in cfg.methods:
-                try:
-                    if method == "oracle":
-                        tau_i = 1.0 - k / n
-                        levels = cfg.level_rule.levels_for(tau_i, fam.true_gamma)
-                        t_i_true = float(fam.quantile(tau_i))
-                        params_i = fam.conditional_excess_params(t_i_true)
-                        model = FrequentistPredictive(params_i, t_i_true, levels)
-                    else:
-                        e = select_exceedances(sample, k)
-                        _, model, _ = _estimated_model(
-                            cfg, method, e, _rep_seed(cfg.seed, rep, n_ctx=n)
-                        )
-                        levels = model.levels
-                    t_e_true = float(fam.quantile(levels.tau_e))
-                    true_pdf, excess_params = _true_peak_pdf(fam, t_e_true)
-                    lower = min(model.support_lower(), t_e_true)
-                    upper_true = (
-                        t_e_true + excess_params.upper
-                        if excess_params.gamma < 0
-                        else math.inf
-                    )
-                    upper = max(model.support_upper(), upper_true)
-                    out[method] = hellinger(
-                        true_pdf,
-                        model.pdf,
-                        Support(lower, upper),
-                        abs_tol=HELLINGER_ABS_TOL[method],
-                        breakpoints=(t_e_true, model.support_lower()),
-                    )
-                except _REP_FAILURES:
-                    out[method] = None
-            return out
-
-        results = [one_rep(rep) for rep in range(cfg.replications)]
-        for method in cfg.methods:
-            arr = np.asarray([r[method] for r in results if r[method] is not None])
-            rows.append(
-                {
-                    "n": n,
-                    "k": k,
-                    "method": method,
-                    "median_hellinger": float(np.median(arr)) if arr.size else math.nan,
-                    "q10": float(np.quantile(arr, 0.1)) if arr.size else math.nan,
-                    "q90": float(np.quantile(arr, 0.9)) if arr.size else math.nan,
-                    "replications": int(arr.size),
-                    "failures": cfg.replications - int(arr.size),
-                }
-            )
-    return rows
+    return [row for n in ladder for row in _rows_at(cfg, n, n, evaluate, summarise)]
 
 
 def tail_equivalence_experiment(cfg: ExperimentConfig) -> list[dict]:
@@ -529,83 +562,50 @@ def tail_equivalence_experiment(cfg: ExperimentConfig) -> list[dict]:
     fam = cfg.generator.family
     if cfg.level_rule.kind != "tau-star":
         raise DomainError("tail-equivalence experiments use the tau-star rule")
+    if "oracle" in cfg.methods and not isinstance(fam, ExactGP):
+        raise DomainError("the oracle arm needs the exact-GP generator")
     tau_star = cfg.level_rule.value
+
+    def evaluate(method: str, sample, k: int, rep_seed: int):
+        if method == "oracle":
+            tau_i = 1.0 - k / sample.n
+            levels = LevelPair.intermediate(tau_i)
+            model, fell_back = _oracle_model(fam, tau_i, levels), False
+        else:
+            model, _, fell_back = _estimated_model(cfg, method, sample, k, rep_seed)
+        q_true = float(fam.quantile(1.0 - tau_star * (1.0 - model.levels.tau_i)))
+        return tail_equivalence_ratio(model, q_true, tau_star), fell_back
+
+    def summarise(values) -> dict:
+        med, lo, hi = _quantiles(values, 0.5, 0.05, 0.95)
+        return {"median_ratio": med, "band_lo": lo, "band_hi": hi, "band_width": hi - lo}
+
     ladder = cfg.n_ladder or (cfg.n,)
-
-    rows: list[dict] = []
-    for n in ladder:
-        k = cfg.k_rule.k_for(n)
-
-        def one_rep(rep: int, n=n, k=k) -> dict:
-            rng = _rep_rng(cfg.seed, rep, n_ctx=n)
-            sample = generate(cfg.generator, n, seed=int(rng.integers(2**63)))
-            out: dict = {}
-            for method in cfg.methods:
-                try:
-                    if method == "oracle":
-                        if not isinstance(fam, ExactGP):
-                            raise DomainError(
-                                "oracle arm implemented for exact-GP only"
-                            )
-                        tau_i = 1.0 - k / n
-                        t_i_true = float(fam.quantile(tau_i))
-                        params_i = fam.conditional_excess_params(t_i_true)
-                        model = FrequentistPredictive(
-                            params_i, t_i_true, LevelPair.intermediate(tau_i)
-                        )
-                        tau_i_eff = tau_i
-                    else:
-                        e = select_exceedances(sample, k)
-                        model, _, _ = _estimated_model(
-                            cfg, method, e, _rep_seed(cfg.seed, rep, n_ctx=n)
-                        )
-                        tau_i_eff = e.tau_i
-                    tau_e = 1.0 - tau_star * (1.0 - tau_i_eff)
-                    q_true = float(fam.quantile(tau_e))
-                    out[method] = tail_equivalence_ratio(model, q_true, tau_star)
-                except _REP_FAILURES:
-                    out[method] = None
-            return out
-
-        results = [one_rep(rep) for rep in range(cfg.replications)]
-        for method in cfg.methods:
-            arr = np.asarray([r[method] for r in results if r[method] is not None])
-            if arr.size:
-                med = float(np.median(arr))
-                lo = float(np.quantile(arr, 0.05))
-                hi = float(np.quantile(arr, 0.95))
-            else:
-                med = lo = hi = math.nan
-            rows.append(
-                {
-                    "n": n,
-                    "k": k,
-                    "method": method,
-                    "median_ratio": med,
-                    "band_lo": lo,
-                    "band_hi": hi,
-                    "band_width": hi - lo,
-                    "replications": int(arr.size),
-                    "failures": cfg.replications - int(arr.size),
-                }
-            )
-    return rows
+    return [row for n in ladder for row in _rows_at(cfg, n, n, evaluate, summarise)]
 
 
-def _true_tail_es(fam: Family, tau_e: float) -> float:
-    """Closed-form tail conditional expectation where available."""
+def _true_tail_es(fam: Family):
+    """Closed-form tail conditional expectation as a function of ``tau_e``.
+
+    Raises at once for a family without a closed form or with an infinite
+    tail mean.
+    """
     if isinstance(fam, Pareto):
         if fam.alpha <= 1.0:
             raise InfiniteMeanError("Pareto tail mean is infinite for alpha <= 1")
-        return float(fam.quantile(tau_e)) * fam.alpha / (fam.alpha - 1.0)
+        return lambda tau_e: float(fam.quantile(tau_e)) * fam.alpha / (fam.alpha - 1.0)
     if isinstance(fam, ExactGP):
         if fam.gamma >= 1.0:
             raise InfiniteMeanError("GP tail mean is infinite for shape >= 1")
-        t_e = float(fam.quantile(tau_e))
-        shifted = fam.conditional_excess_params(t_e)
-        return t_e + shifted.sigma / (1.0 - shifted.gamma)
+
+        def gp_es(tau_e: float) -> float:
+            t_e = float(fam.quantile(tau_e))
+            shifted = fam.conditional_excess_params(t_e)
+            return t_e + shifted.sigma / (1.0 - shifted.gamma)
+
+        return gp_es
     if isinstance(fam, Exponential):
-        return float(fam.quantile(tau_e)) + 1.0 / fam.rate
+        return lambda tau_e: float(fam.quantile(tau_e)) + 1.0 / fam.rate
     raise DomainError(f"no closed-form tail expectation for {type(fam).__name__}")
 
 
@@ -620,54 +620,40 @@ def risk_error_experiment(cfg: ExperimentConfig) -> list[dict]:
     if cfg.level_rule.kind != "tau-star":
         raise DomainError("risk-error experiments use the tau-star rule")
     tau_star = cfg.level_rule.value
-    k = cfg.k_rule.k_for(cfg.n)
+    true_es = _true_tail_es(fam)
 
-    def one_rep(rep: int) -> dict:
-        rng = _rep_rng(cfg.seed, rep)
-        sample = generate(cfg.generator, cfg.n, seed=int(rng.integers(2**63)))
-        out: dict = {}
-        for method in cfg.methods:
-            try:
-                e = select_exceedances(sample, k)
-                model_int, model_ext, _ = _estimated_model(
-                    cfg, method, e, _rep_seed(cfg.seed, rep)
-                )
-                tau_e = model_ext.levels.tau_e
-                var_true = float(fam.quantile(tau_e))
-                es_true = _true_tail_es(fam, tau_e)
-                var_hat = var_from_predictive(model_int, tau_star)
-                es_hat = es_point_forecast(model_ext)
-                out[method] = (
-                    abs(var_hat - var_true) / abs(var_true),
-                    abs(es_hat - es_true) / abs(es_true),
-                )
-            except _REP_FAILURES:
-                out[method] = None
-        return out
-
-    results = [one_rep(rep) for rep in range(cfg.replications)]
-
-    rows: list[dict] = []
-    for method in cfg.methods:
-        pairs = [r[method] for r in results if r[method] is not None]
-        v = np.asarray([p[0] for p in pairs])
-        s = np.asarray([p[1] for p in pairs])
-        rows.append(
-            {
-                "n": cfg.n,
-                "k": k,
-                "method": method,
-                "var_within_tol": float(np.mean(v < cfg.rel_err_tol)) if v.size else math.nan,
-                "es_within_tol": float(np.mean(s < cfg.rel_err_tol)) if s.size else math.nan,
-                "var_median_err": float(np.median(v)) if v.size else math.nan,
-                "es_median_err": float(np.median(s)) if s.size else math.nan,
-                "var_q90_err": float(np.quantile(v, 0.9)) if v.size else math.nan,
-                "es_q90_err": float(np.quantile(s, 0.9)) if s.size else math.nan,
-                "replications": int(v.size),
-                "failures": cfg.replications - int(v.size),
-            }
+    def evaluate(method: str, sample, k: int, rep_seed: int):
+        model_int, model_ext, fell_back = _estimated_model(
+            cfg, method, sample, k, rep_seed
         )
-    return rows
+        tau_e = model_ext.levels.tau_e
+        var_true = float(fam.quantile(tau_e))
+        es_true = true_es(tau_e)
+        var_hat = var_from_predictive(model_int, tau_star)
+        es_hat = es_point_forecast(model_ext)
+        errors = (
+            abs(var_hat - var_true) / abs(var_true),
+            abs(es_hat - es_true) / abs(es_true),
+        )
+        return errors, fell_back
+
+    def within_tol(errs) -> float:
+        return float(np.mean(errs < cfg.rel_err_tol)) if errs.size else math.nan
+
+    def summarise(pairs) -> dict:
+        v, s = (np.asarray([p[i] for p in pairs]) for i in (0, 1))
+        v_med, v_q90 = _quantiles(v, 0.5, 0.9)
+        s_med, s_q90 = _quantiles(s, 0.5, 0.9)
+        return {
+            "var_within_tol": within_tol(v),
+            "es_within_tol": within_tol(s),
+            "var_median_err": v_med,
+            "es_median_err": s_med,
+            "var_q90_err": v_q90,
+            "es_q90_err": s_q90,
+        }
+
+    return _rows_at(cfg, cfg.n, 0, evaluate, summarise)
 
 
 @dataclass(frozen=True)
@@ -718,48 +704,40 @@ def ts_coverage_experiment(cfg: TsCoverageConfig) -> list[dict]:
     y = y[cfg.burn :]
     u_test = rng.random(cfg.origins)
 
-    def one_origin(j: int) -> dict:
-        out: dict = {}
-        seg = y[j * stride : j * stride + cfg.window]
-        for method in cfg.methods:
-            try:
-                ar = fit_ar(seg, 1, intercept=cfg.ar_intercept)
-                rs = residual_pipeline(seg, ar)
-                n_res = rs.residuals.size
-                tau_i = 1.0 - cfg.k / n_res
-                ext_levels = LevelPair.from_tau_star(tau_i, cfg.tau_star)
-                sampler = replace(cfg.sampler, seed=_rep_seed(cfg.seed, j, n_ctx=2))
-                model_ext = conditional_predictive(
-                    rs, cfg.k, ext_levels, method, cfg.prior, sampler
-                )
-                interval = predictive_interval(model_ext, cfg.alpha)
-                # regenerate the next step conditionally on a tail innovation
-                tau_e_inn = ext_levels.tau_e
-                eps_star = float(
-                    cfg.innovations.quantile(
-                        tau_e_inn + u_test[j] * (1.0 - tau_e_inn)
-                    )
-                )
-                y_star = cfg.phi * seg[-1] + eps_star
-                out[method] = int(not interval.contains(y_star))
-            except _REP_FAILURES:
-                out[method] = None
-        return out
+    def evaluate(method: str, j: int, seg):
+        ar = fit_ar(seg, 1, intercept=cfg.ar_intercept)
+        rs = residual_pipeline(seg, ar)
+        tau_i = 1.0 - cfg.k / rs.residuals.size
+        ext_levels = LevelPair.from_tau_star(tau_i, cfg.tau_star)
+        sampler = replace(cfg.sampler, seed=_rep_seed(cfg.seed, j, n_ctx=2))
+        model_ext = conditional_predictive(
+            rs, cfg.k, ext_levels, method, cfg.prior, sampler
+        )
+        interval = predictive_interval(model_ext, cfg.alpha)
+        # regenerate the next step conditionally on a tail innovation
+        tau_e_inn = ext_levels.tau_e
+        eps_star = float(
+            cfg.innovations.quantile(tau_e_inn + u_test[j] * (1.0 - tau_e_inn))
+        )
+        y_star = cfg.phi * seg[-1] + eps_star
+        return int(not interval.contains(y_star)), False
 
-    results = [one_origin(j) for j in range(cfg.origins)]
-
+    tallies = _replicate(
+        cfg.methods,
+        cfg.origins,
+        lambda j: y[j * stride : j * stride + cfg.window],
+        evaluate,
+    )
     rows: list[dict] = []
     for method in cfg.methods:
-        vals = [r[method] for r in results if r[method] is not None]
-        used = len(vals)
-        violations = sum(vals)
+        used, violations = len(tallies[method].values), sum(tallies[method].values)
         rows.append(
             {
                 "method": method,
                 "violation_rate": violations / used if used else math.nan,
                 "origins_used": used,
                 "violations": violations,
-                "failures": cfg.origins - used,
+                **tallies[method].columns(),
                 "alpha": cfg.alpha,
             }
         )

@@ -268,6 +268,47 @@ class TestSimulate:
         table = open(prefix + ".csv").read()
         assert table.splitlines()[0].startswith("method,coverage")
 
+    GP = {"family": "exact-gp", "gamma": 0.25, "sigma": 1.0}
+    SMALL = {"n": 1_000, "k": {"kind": "fixed", "k": 50}, "replications": 50}
+
+    @pytest.mark.parametrize("experiment,extra", [
+        ("coverage", {"methods": ["oracle", "ml", "pwm"]}),
+        ("contraction", {"n_ladder": [1_000, 2_000], "methods": ["oracle", "pwm"]}),
+        ("tail-equivalence", {"methods": ["oracle", "ml"]}),
+        ("risk-error", {"methods": ["ml", "pwm"]}),
+        ("ts-coverage", {"ts": {"window": 400, "origins": 20, "k": 40},
+                         "methods": ["ml", "pwm"]}),
+    ])
+    def test_every_experiment_matches_schema(self, tmp_path, experiment, extra):
+        cfg = tmp_path / "sim.json"
+        cfg.write_text(json.dumps({
+            "experiment": experiment, "generator": self.GP, **self.SMALL,
+            "seed": 3, **extra,
+        }))
+        prefix = str(tmp_path / "run")
+        assert main(["simulate", "--config", str(cfg), "--out", prefix]) == 0
+        doc = json.loads(open(prefix + ".json").read())
+        jsonschema.validate(doc, load_schema("simulation_summary.schema.json"))
+        assert {row["method"] for row in doc["rows"]} == set(extra["methods"])
+        header = open(prefix + ".csv").readline().rstrip("\n").split(",")
+        assert {"failures", "fallbacks", "failure_reasons"} <= set(header)
+
+    @pytest.mark.parametrize("experiment,family,methods", [
+        ("tail-equivalence", {"family": "pareto", "alpha": 2.0}, ["oracle", "ml"]),
+        ("risk-error", {"family": "frechet", "alpha": 2.0}, ["ml"]),
+        ("risk-error", {"family": "pareto", "alpha": 0.8}, ["pwm"]),
+    ])
+    def test_configuration_that_fails_every_replication_exits_3(
+        self, tmp_path, experiment, family, methods
+    ):
+        cfg = tmp_path / "sim.json"
+        cfg.write_text(json.dumps({
+            "experiment": experiment, "generator": family, **self.SMALL,
+            "methods": methods,
+        }))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 3
+        assert not (tmp_path / "r.csv").exists()
+
     def test_unknown_keys_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({

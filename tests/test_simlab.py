@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
-from tailcast.errors import DomainError
+import tailcast.simlab as simlab
+from tailcast.errors import (
+    DomainError,
+    EstimationError,
+    InfiniteMeanError,
+    NumericError,
+    SamplerError,
+)
 from tailcast.estimation import fit_hill
 from tailcast.simlab import (
     BetaTail,
@@ -204,3 +211,88 @@ class TestTsCoverage:
         rows = ts_coverage_experiment(cfg)
         assert rows[0]["origins_used"] >= 110
         assert 0.0 <= rows[0]["violation_rate"] <= 0.15
+
+
+class TestReplicationDriver:
+    """Failures are counted by class, ML falls back to PWM, bugs propagate."""
+
+    SMALL = dict(n=1_000, k_rule=KRule(kind="fixed", k=50), replications=50)
+
+    @staticmethod
+    def failing_fit_tail(monkeypatch, fails):
+        """Make ``fit_tail`` raise ``fails(call, method)`` when it is not None."""
+        real = simlab.fit_tail
+        calls = {"n": 0}
+
+        def fit_tail(e, method, *args, **kwargs):
+            calls["n"] += 1
+            exc = fails(calls["n"], method)
+            if exc is not None:
+                raise exc
+            return real(e, method, *args, **kwargs)
+
+        monkeypatch.setattr(simlab, "fit_tail", fit_tail)
+
+    def test_failures_counted_by_class(self, monkeypatch):
+        def fails(call, method):
+            if call % 5 == 0:
+                return SamplerError("no move accepted")
+            if call % 7 == 0:
+                return NumericError("no bracket")
+            return None
+
+        self.failing_fit_tail(monkeypatch, fails)
+        res = coverage_experiment(small_cfg(methods=("oracle", "pwm"), **self.SMALL))
+        pwm, oracle = res.stats["pwm"], res.stats["oracle"]
+        # one pwm fit per replication: calls 1..50 hold 10 multiples of 5, and
+        # 6 multiples of 7 that are not multiples of 5
+        assert (pwm.failures, pwm.n_used, pwm.fallbacks) == (16, 34, 0)
+        assert pwm.failure_reasons == "NumericError:6;SamplerError:10"
+        assert (oracle.failures, oracle.failure_reasons) == (0, "")
+        row = res.rows()[1]
+        assert (row["failures"], row["failure_reasons"]) == (16, pwm.failure_reasons)
+
+    def test_ml_failure_falls_back_to_pwm(self, monkeypatch):
+        # each ML call is odd-numbered and fails; its PWM fallback is the next
+        def fails(call, method):
+            if method == "ml" and call % 2:
+                return EstimationError("no convergence")
+            return None
+
+        self.failing_fit_tail(monkeypatch, fails)
+        rows = tail_equivalence_experiment(small_cfg(methods=("ml",), **self.SMALL))
+        assert rows[0]["fallbacks"] == 50
+        assert (rows[0]["failures"], rows[0]["failure_reasons"]) == (0, "")
+        assert rows[0]["replications"] == 50
+
+    def test_programming_errors_propagate(self, monkeypatch):
+        self.failing_fit_tail(monkeypatch, lambda call, method: TypeError("a bug"))
+        with pytest.raises(TypeError, match="a bug"):
+            risk_error_experiment(small_cfg(methods=("pwm",), **self.SMALL))
+
+
+class TestConfigurationErrors:
+    """A configuration that would fail every replication is refused up front."""
+
+    @pytest.fixture(autouse=True)
+    def no_replications(self, monkeypatch):
+        def generate(*args, **kwargs):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(simlab, "generate", generate)
+
+    def test_tail_equivalence_oracle_needs_exact_gp(self):
+        with pytest.raises(DomainError, match="exact-GP"):
+            tail_equivalence_experiment(
+                small_cfg(generator=Generator(Pareto(2.0)), methods=("oracle", "ml"))
+            )
+
+    @pytest.mark.parametrize("family", [Frechet(2.0), Burr(1.0, 2.0), BetaTail(1.0, 2.0)])
+    def test_risk_error_needs_closed_form_es(self, family):
+        with pytest.raises(DomainError, match="closed-form"):
+            risk_error_experiment(small_cfg(generator=Generator(family)))
+
+    @pytest.mark.parametrize("family", [Pareto(0.8), ExactGP(1.2, 1.0)])
+    def test_risk_error_needs_finite_tail_mean(self, family):
+        with pytest.raises(InfiniteMeanError):
+            risk_error_experiment(small_cfg(generator=Generator(family)))
