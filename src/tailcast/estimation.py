@@ -2,10 +2,8 @@
 
 The estimators consume an :class:`ExceedanceSet` (the top ``k`` order
 statistics minus the threshold order statistic) and produce a
-:class:`GpFit`.  Maximum likelihood is run in the ``(gamma, log sigma)``
-parameterization from several starting points (the likelihood surface is
-irregular near the shape boundary), then polished with damped Newton steps
-until the scaled gradient is numerically zero.
+:class:`GpFit`.  Maximum likelihood is a one-dimensional root search on the
+profile likelihood in ``theta = gamma / sigma``, over shapes above -1/2.
 """
 
 from __future__ import annotations
@@ -15,7 +13,8 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
+# `minimize` is unused here; perfbench/tracing.py wraps `estimation.minimize`
+from scipy.optimize import brentq, minimize  # noqa: F401
 
 from .errors import (
     BoundaryWarning,
@@ -210,51 +209,56 @@ def _negloglik_grad(theta, excesses: np.ndarray) -> np.ndarray:
     return np.array([d_gamma, d_logs])
 
 
-def _newton_polish(theta, excesses, max_iter: int = 25):
-    """Damped Newton refinement until the scaled gradient vanishes."""
-    theta = np.asarray(theta, dtype=float)
-    h = 1e-6
-    for _ in range(max_iter):
-        grad = _negloglik_grad(theta, excesses)
-        if np.linalg.norm(grad) < 1e-11:
-            break
-        hess = np.empty((2, 2))
-        for j in range(2):
-            step = np.zeros(2)
-            step[j] = h
-            hess[:, j] = (
-                _negloglik_grad(theta + step, excesses)
-                - _negloglik_grad(theta - step, excesses)
-            ) / (2.0 * h)
-        hess = 0.5 * (hess + hess.T)
-        try:
-            delta = np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError:
-            break
-        if not np.all(np.isfinite(delta)):
-            break
-        # backtrack to stay in the admissible region and decrease the objective
-        f0 = gp_negloglik(theta, excesses)
-        scale = 1.0
-        for _ in range(30):
-            cand = theta - scale * delta
-            if gp_negloglik(cand, excesses) <= f0 + 1e-15:
-                theta = cand
-                break
-            scale *= 0.5
-        else:
-            break
-    return theta
+def _profile_score(t: float, y: np.ndarray) -> float:
+    """Derivative in ``t = theta x_max`` of the scaled profile
+    ``log(g/t) + (1 + 1/g) m``, with ``m = mean(log1p(t y))`` and the best
+    admissible shape ``g = max(m, -1/2)``.  On the edge g = -1/2 it is
+    ``(k/u - sum(y / (1 - u y))) / k`` in ``u = -t = x_max / (2 sigma)``,
+    where the log-likelihood is concave: one root, and no kink at m = -1/2."""
+    if t == 0.0:  # the limit at the exponential fit
+        return float(np.mean(y) - np.mean(y * y) / (2.0 * np.mean(y)))
+    w = t * y
+    g = max(float(np.mean(np.log1p(w))), _SHAPE_LOWER)
+    return float(np.mean(y / (1.0 + w))) * (1.0 / g + 1.0) - 1.0 / t
+
+
+def _profile_fit(y: np.ndarray) -> tuple[float, float]:
+    """(gamma, sigma / x_max) at the root of the profile score between the
+    neighbours of the best point of a grid in ``t``."""
+    y_bar = float(np.mean(y))
+    t_hi = 2.0 * (y_bar - float(y[0])) / float(y[0]) ** 2
+    t = np.concatenate([
+        -1.0 + np.geomspace(1e-15, 0.25, 24),  # toward the pole at -1
+        -np.geomspace(0.5, 1e-6, 12),
+        [0.0],
+        np.geomspace(min(1e-6, 0.5 * t_hi), t_hi, 40),  # to Grimshaw's bound
+    ])
+    m = np.log1p(np.multiply.outer(t, y)).mean(axis=1)
+    g = np.maximum(m, _SHAPE_LOWER)
+    # g/t -> mean(y) as t -> 0, the exponential fit's profile value
+    ratio = np.divide(g, t, out=np.full(t.size, y_bar), where=t != 0.0)
+    f = np.log(ratio) + np.where(m > _SHAPE_LOWER, m + 1.0, -m)
+    i = int(np.argmin(f))
+    lo, hi = t[max(i - 1, 0)], t[min(i + 1, t.size - 1)]
+    if not _profile_score(lo, y) <= 0.0 <= _profile_score(hi, y):
+        raise EstimationError("the best profile-likelihood cell brackets no root")
+    root = brentq(_profile_score, lo, hi, args=(y,), xtol=1e-15)
+    if root == 0.0:
+        return 0.0, y_bar
+    # an edge fit is reported just inside the admissible shapes
+    gamma = max(float(np.mean(np.log1p(root * y))), math.nextafter(_SHAPE_LOWER, 0.0))
+    return gamma, gamma / root
 
 
 def fit_ml(e: ExceedanceSet) -> GpFit:
-    """Maximum likelihood GP fit on the excesses.
+    """Maximum likelihood GP fit on the excesses, over shapes above -1/2.
 
-    Multi-start Nelder-Mead in ``(gamma, log sigma)``, seeded from the PWM
-    fit and from a light-tail guess, followed by Newton polishing.  Raises
-    :class:`EstimationError` (carrying the best iterate) if no start attains
-    a small scaled gradient, and flags shape estimates pressed against the
-    -1/2 boundary with a :class:`BoundaryWarning`.
+    Given ``theta = gamma / sigma`` the best shape is ``mean(log1p(theta x))``
+    (Grimshaw 1993), or -1/2 where that falls below, so the fit is the root
+    of a profile score in one variable, bracketed by a grid.  An edge fit is
+    reported as ``gamma = nextafter(-1/2, 0)``; shapes below -0.495 raise a
+    :class:`BoundaryWarning`.  Raises :class:`EstimationError` (carrying the
+    estimate) if an interior fit's scaled gradient does not vanish.
     """
     x = e.excesses
     if x.size < 2:
@@ -262,38 +266,10 @@ def fit_ml(e: ExceedanceSet) -> GpFit:
     if float(np.ptp(x)) == 0.0:
         raise DegenerateDataError("excesses are all equal; GP fit is degenerate")
 
-    log_mean = math.log(float(np.mean(x)))
-    starts = [np.array([0.1, log_mean])]
-    try:
-        pwm = fit_pwm(e)
-        starts.insert(0, np.array([pwm.params.gamma, math.log(pwm.params.sigma)]))
-    except (DegenerateDataError, EstimationError, DomainError):
-        pass
-    # restart schedule engaged only if the primary starts stall
-    fallback = [np.array([g, log_mean]) for g in (-0.35, -0.1, 0.4, 1.0)]
-
-    best = None
-    best_val = math.inf
-    for attempt, start in enumerate(starts + fallback):
-        if attempt >= len(starts) and best is not None and _grad_ok(best, x):
-            break
-        # the simplex may reach points where the objective is infinite, and
-        # scipy's convergence test then subtracts inf from inf
-        with np.errstate(invalid="ignore"):
-            res = minimize(
-                gp_negloglik,
-                start,
-                args=(x,),
-                method="Nelder-Mead",
-                options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": 2000},
-            )
-        cand = _newton_polish(res.x, x)
-        val = gp_negloglik(cand, x)
-        if val < best_val:
-            best, best_val = cand, val
-
-    if best is None or not math.isfinite(best_val):
-        raise EstimationError("GP likelihood maximization failed", best=best)
+    x_max = float(x[-1])
+    gamma, scale = _profile_fit(x / x_max)
+    best = np.array([gamma, math.log(scale * x_max)])
+    best_val = gp_negloglik(best, x)
 
     grad_norm = float(np.linalg.norm(_negloglik_grad(best, x)))
     gamma_hat = float(best[0])
@@ -322,10 +298,6 @@ def fit_ml(e: ExceedanceSet) -> GpFit:
         boundary=boundary,
         details={"grad_norm": grad_norm},
     )
-
-
-def _grad_ok(theta, excesses) -> bool:
-    return float(np.linalg.norm(_negloglik_grad(theta, excesses))) < _GRAD_TOL
 
 
 def _pwm_estimate(e: ExceedanceSet) -> tuple[float, float]:

@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 from scipy.stats import beta as beta_dist
 
-from .bayes import PriorSpec, SamplerConfig
+from .bayes import PriorSpec, SamplerConfig, default_prior
 from .density import hellinger
 from .errors import (
     DegenerateDataError,
@@ -293,6 +293,14 @@ class ExperimentConfig:
             raise DomainError("experiments need at least 50 replications")
         if not 0.0 < self.alpha < 1.0:
             raise DomainError(f"alpha must lie in (0,1), got {self.alpha}")
+        _check_methods(self.methods, ("oracle", "ml", "pwm", "bayes"))
+
+
+def _check_methods(methods, supported) -> None:
+    """Refuse an arm that would fail every replication."""
+    for m in methods:
+        if m not in supported:
+            raise DomainError(f"method {m!r} is not one of {', '.join(supported)}")
 
 
 def _rep_seed(cfg_seed: int, rep: int, n_ctx: int = 0) -> int:
@@ -621,6 +629,14 @@ def risk_error_experiment(cfg: ExperimentConfig) -> list[dict]:
         raise DomainError("risk-error experiments use the tau-star rule")
     tau_star = cfg.level_rule.value
     true_es = _true_tail_es(fam)
+    _check_methods(cfg.methods, ("ml", "pwm", "bayes"))
+    # the default prior's shape support does not depend on its scale anchor
+    prior = default_prior(1.0) if cfg.prior is None else cfg.prior
+    if "bayes" in cfg.methods and not prior.es_compatible:
+        raise InfiniteMeanError(
+            "the bayes arm's shape prior reaches 1, where expected shortfall is "
+            "infinite; risk-error needs a prior supported strictly below 1"
+        )
 
     def evaluate(method: str, sample, k: int, rep_seed: int):
         model_int, model_ext, fell_back = _estimated_model(
@@ -682,6 +698,9 @@ class TsCoverageConfig:
     burn: int = 200
     stride: int | None = None
     ar_intercept: bool = True  # uncentered innovations need the intercept
+
+    def __post_init__(self):
+        _check_methods(self.methods, ("ml", "pwm", "bayes"))
 
 
 def ts_coverage_experiment(cfg: TsCoverageConfig) -> list[dict]:

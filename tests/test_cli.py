@@ -297,6 +297,10 @@ class TestSimulate:
         ("tail-equivalence", {"family": "pareto", "alpha": 2.0}, ["oracle", "ml"]),
         ("risk-error", {"family": "frechet", "alpha": 2.0}, ["ml"]),
         ("risk-error", {"family": "pareto", "alpha": 0.8}, ["pwm"]),
+        ("risk-error", {"family": "pareto", "alpha": 2.0}, ["ml", "bayes"]),
+        ("risk-error", {"family": "pareto", "alpha": 2.0}, ["oracle", "ml"]),
+        ("ts-coverage", {"family": "pareto", "alpha": 2.0}, ["oracle", "ml"]),
+        ("coverage", {"family": "pareto", "alpha": 2.0}, ["ml", "mle"]),
     ])
     def test_configuration_that_fails_every_replication_exits_3(
         self, tmp_path, experiment, family, methods

@@ -3,9 +3,12 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq, minimize
 
 from conftest import make_excesses
+from tailcast.bayes import SamplerConfig, default_prior, sample_posterior
 from tailcast.errors import (
+    BoundaryWarning,
     DegenerateDataError,
     DomainError,
     EstimationError,
@@ -15,6 +18,7 @@ from tailcast.estimation import (
     ExceedanceSet,
     GpFit,
     SortedSample,
+    _negloglik_grad,
     endpoint_estimate,
     exceedances_from_excesses,
     fit_hill,
@@ -26,6 +30,10 @@ from tailcast.estimation import (
     stability_trace,
 )
 from tailcast.gpd import GpParams
+
+# any numpy warning from the ML search (a log of a non-positive ratio, a
+# division at theta = 0) fails these tests
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 class TestSelectExceedances:
@@ -112,15 +120,183 @@ class TestMaximumLikelihood:
 
     @pytest.mark.parametrize("seed", [12, 27, 33])
     def test_short_tail_search_is_silent(self, seed):
-        # 20 + 5 GP(-1/3, 1) at n = 3,140, k = 169: the simplex reaches points
-        # where the objective is infinite, which must not surface as a warning
+        # 20 + 5 GP(-1/3, 1) at n = 3,140, k = 169: a short tail whose search
+        # must raise no RuntimeWarning (the module's filter makes one an error)
         u = np.random.default_rng(seed).random(3_140)
         x = 20.0 + 5.0 * np.expm1(np.log1p(-u) / 3.0) * -3.0
         e = select_exceedances(SortedSample.from_data(x), 169)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            fit = fit_ml(e)
+        fit = fit_ml(e)
         assert fit.params.gamma == pytest.approx(-1.0 / 3.0, abs=0.2)
+
+
+def _reference_fit(x):
+    """The multi-start Nelder-Mead search with damped Newton polish that
+    ``fit_ml`` used before the profile search: (gamma, sigma, loglik)."""
+
+    def polish(theta):
+        h = 1e-6
+        for _ in range(25):
+            grad = _negloglik_grad(theta, x)
+            if np.linalg.norm(grad) < 1e-11:
+                break
+            hess = np.empty((2, 2))
+            for j in range(2):
+                step = np.zeros(2)
+                step[j] = h
+                hess[:, j] = (
+                    _negloglik_grad(theta + step, x) - _negloglik_grad(theta - step, x)
+                ) / (2.0 * h)
+            try:
+                delta = np.linalg.solve(0.5 * (hess + hess.T), grad)
+            except np.linalg.LinAlgError:
+                break
+            if not np.all(np.isfinite(delta)):
+                break
+            f0, scale = gp_negloglik(theta, x), 1.0
+            for _ in range(30):
+                if gp_negloglik(theta - scale * delta, x) <= f0 + 1e-15:
+                    theta = theta - scale * delta
+                    break
+                scale *= 0.5
+            else:
+                break
+        return theta
+
+    def grad_ok(theta):
+        return np.linalg.norm(_negloglik_grad(theta, x)) < 1e-6
+
+    log_mean = math.log(float(np.mean(x)))
+    starts = [np.array([0.1, log_mean])]
+    try:
+        pwm = fit_pwm(exceedances_from_excesses(x))
+        starts.insert(0, np.array([pwm.params.gamma, math.log(pwm.params.sigma)]))
+    except (DegenerateDataError, EstimationError, DomainError):
+        pass
+    fallback = [np.array([g, log_mean]) for g in (-0.35, -0.1, 0.4, 1.0)]
+    best, best_val = None, math.inf
+    for attempt, start in enumerate(starts + fallback):
+        if attempt >= len(starts) and best is not None and grad_ok(best):
+            break
+        with np.errstate(invalid="ignore"):
+            res = minimize(
+                gp_negloglik, start, args=(x,), method="Nelder-Mead",
+                options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": 2000},
+            )
+        cand = polish(res.x)
+        val = gp_negloglik(cand, x)
+        if val < best_val:
+            best, best_val = cand, val
+    return float(best[0]), math.exp(best[1]), -best_val * x.size
+
+
+def _reference_inputs():
+    """60 seeded excess samples: GP shapes from -0.45 to 0.9 (0 and 1e-9
+    among them) at k = 20 to 1,000, and Pareto(2) windows at k = 44 to 2,162.
+    Several k = 20 and 30 draws put the constrained maximum on gamma = -1/2:
+    16 of the 60 fits lie on that edge."""
+    for gamma in (-0.45, -0.3, -0.1, 0.0, 1e-9, 0.1, 0.25, 0.5, 0.9):
+        for k, seed in ((20, 1), (30, 2), (30, 0), (50, 0), (200, 0), (1000, 0)):
+            yield make_excesses(gamma, 1.0, k, seed=1000 * seed + k)
+    for k in (44, 200, 2162):
+        for seed in (77, 78):
+            u = np.random.default_rng(seed).random(40 * k)
+            top = np.sort((1.0 - u) ** -0.5)[-k - 1:]
+            yield top[1:] - top[0]
+
+
+class TestAgainstReferenceSearch:
+    def test_profile_search_matches_old_search(self):
+        edge = 0
+        for x in _reference_inputs():
+            e = exceedances_from_excesses(x)
+            gamma_ref, sigma_ref, ll_ref = _reference_fit(e.excesses)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", BoundaryWarning)
+                fit = fit_ml(e)
+            assert fit.loglik >= ll_ref - 1e-9 * abs(ll_ref)
+            assert fit.boundary == (gamma_ref < -0.495)
+            if fit.params.gamma == math.nextafter(-0.5, 0.0):
+                edge += 1
+                assert fit.params.sigma == pytest.approx(sigma_ref, rel=1e-7)
+            else:
+                assert fit.params.gamma == pytest.approx(gamma_ref, rel=1e-9)
+                assert fit.params.sigma == pytest.approx(sigma_ref, rel=1e-9)
+        assert edge >= 10
+
+
+class TestShapeEdge:
+    """A short tail whose constrained maximum lies on gamma = -1/2."""
+
+    @pytest.fixture
+    def e(self):
+        return exceedances_from_excesses(make_excesses(-0.3, 1.0, 30, seed=30))
+
+    def test_fit_lies_on_the_edge(self, e):
+        with pytest.warns(BoundaryWarning):
+            fit = fit_ml(e)
+        assert fit.boundary and fit.converged
+        assert -0.5 < fit.params.gamma < -0.495
+        assert fit.loglik == pytest.approx(
+            -gp_negloglik([fit.params.gamma, math.log(fit.params.sigma)], e.excesses)
+            * e.n_excesses,
+            rel=1e-12,
+        )
+
+    def test_beats_the_interior_stationary_points(self, e):
+        with pytest.warns(BoundaryWarning):
+            fit = fit_ml(e)
+        x = e.excesses
+        y = x / x[-1]
+
+        def shape(t):
+            return float(np.mean(np.log1p(t * y)))
+
+        def score(t):
+            """Grimshaw's profile score, with no shape bound."""
+            return float(np.mean(y / (1.0 + t * y))) * (1.0 / shape(t) + 1.0) - 1.0 / t
+
+        def loglik(t):
+            g = shape(t)
+            return -gp_negloglik([g, math.log(g / t * x[-1])], x) * x.size
+
+        # every stationary point of the profile on a fine grid of t = theta x_max
+        t = np.concatenate(
+            [-1.0 + np.geomspace(1e-12, 0.999, 2_000), np.geomspace(1e-6, 1e3, 500)]
+        )
+        scores = np.array([score(v) for v in t])
+        roots = [
+            brentq(score, t[i], t[i + 1])
+            for i in np.flatnonzero(np.sign(scores[:-1]) != np.sign(scores[1:]))
+        ]
+        assert roots
+        for root in roots:
+            # either past the shape bound, where the likelihood is zero, or worse
+            assert shape(root) <= -0.5 or loglik(root) < fit.loglik
+        # and the fit beats every admissible point of the profile
+        admissible = [v for v in t if shape(v) > -0.5]
+        assert max(loglik(v) for v in admissible) < fit.loglik
+
+    def test_sampler_starts_from_the_edge_fit(self, e, monkeypatch):
+        import tailcast.bayes as bayes
+
+        with pytest.warns(BoundaryWarning):
+            fit = fit_ml(e)
+        starts = []
+        original = bayes._initial_state
+
+        def recording(spec, e, logpost, fit):
+            start = original(spec, e, logpost, fit)
+            starts.append((start, logpost(*start)))
+            return start
+
+        monkeypatch.setattr(bayes, "_initial_state", recording)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            cfg = SamplerConfig(burn_in=200, draws=200, seed=1)
+            sample_posterior(default_prior(pwm_scale(e)), e, cfg)
+        [(start, log_post)] = starts
+        assert start == (fit.params.gamma, math.log(fit.params.sigma))
+        assert math.isfinite(log_post)
 
 
 class TestPwm:

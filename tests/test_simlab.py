@@ -3,6 +3,7 @@ import pytest
 from scipy.stats import kstest
 
 import tailcast.simlab as simlab
+from tailcast.bayes import LogUniformScale, PriorSpec, UniformWindowShape
 from tailcast.errors import (
     DomainError,
     EstimationError,
@@ -296,3 +297,30 @@ class TestConfigurationErrors:
     def test_risk_error_needs_finite_tail_mean(self, family):
         with pytest.raises(InfiniteMeanError):
             risk_error_experiment(small_cfg(generator=Generator(family)))
+
+    @pytest.mark.parametrize("methods", [("ml", "mle"), ("Bayes",), ("hill",)])
+    def test_unknown_method(self, methods):
+        with pytest.raises(DomainError, match="is not one of"):
+            small_cfg(methods=methods)
+        with pytest.raises(DomainError, match="is not one of"):
+            TsCoverageConfig(phi=0.6, innovations=Pareto(2.0), methods=methods)
+
+    def test_risk_error_has_no_oracle_arm(self):
+        with pytest.raises(DomainError, match="'oracle' is not one of"):
+            risk_error_experiment(small_cfg(methods=("ml", "oracle")))
+
+    def test_ts_coverage_has_no_oracle_arm(self):
+        with pytest.raises(DomainError, match="'oracle' is not one of"):
+            TsCoverageConfig(phi=0.6, innovations=Pareto(2.0), methods=("oracle", "ml"))
+
+    @pytest.mark.parametrize(
+        "prior", [None, PriorSpec(UniformWindowShape(-0.4, 1.5), LogUniformScale())]
+    )
+    def test_risk_error_bayes_needs_prior_below_one(self, prior):
+        with pytest.raises(InfiniteMeanError, match="strictly below 1"):
+            risk_error_experiment(small_cfg(methods=("ml", "bayes"), prior=prior))
+
+    def test_risk_error_bayes_with_prior_below_one_runs(self):
+        prior = PriorSpec(UniformWindowShape(-0.49, 0.99), LogUniformScale())
+        with pytest.raises(AssertionError, match="a replication ran"):
+            risk_error_experiment(small_cfg(methods=("bayes",), prior=prior))
