@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (
     DomainError,
@@ -182,6 +181,8 @@ class PriorSpec:
         self._check_shape_prior()
 
     def _check_shape_prior(self):
+        from scipy.integrate import quad
+
         lo, hi = self.shape.support
 
         def dens(g):

@@ -45,7 +45,7 @@ from .predict import (
     prediction_grid,
     predictive_interval,
 )
-from .risk import shortfall_report
+from .risk import return_level_curve, shortfall_report
 from .simlab import (
     BetaTail,
     Burr,
@@ -319,8 +319,6 @@ def cmd_predict(args) -> int:
 
 def _risk_return_level_table(args, sample: SortedSample, cfg: dict) -> int:
     """Point forecasts and intervals across a span of return periods (CSV)."""
-    from .risk import return_level_curve
-
     parts = args.return_periods.split(":")
     if len(parts) not in (2, 3):
         raise DomainError("--return-periods expects START:STOP[:STEP]")

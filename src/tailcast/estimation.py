@@ -386,16 +386,17 @@ def stability_trace(s: SortedSample, ks, method: str = "ml"):
     """Shape estimates across a range of effective sample sizes.
 
     Supports the visual-stability way of choosing ``k``: fit at each
-    candidate and look for a flat stretch.  Failed fits yield NaN rows.
+    candidate and look for a flat stretch.  Failed fits yield NaN rows; an
+    unknown ``method`` raises :class:`DomainError` before any fit.
     """
+    if method not in ("ml", "pwm", "hill"):
+        raise DomainError(f"unknown method {method!r}")
     fitter = {"ml": fit_ml, "pwm": fit_pwm}.get(method)
     rows = []
     for k in ks:
         try:
             if method == "hill":
                 gamma_k = fit_hill(s, int(k))
-            elif fitter is None:
-                raise DomainError(f"unknown method {method!r}")
             else:
                 gamma_k = fitter(select_exceedances(s, int(k))).params.gamma
         except (DomainError, DegenerateDataError, EstimationError):

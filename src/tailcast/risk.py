@@ -21,6 +21,7 @@ from .predict import (
     BayesianPredictive,
     PredictiveInterval,
     PredictiveModel,
+    extreme_level_from_return_period,
     predictive_interval,
 )
 
@@ -129,8 +130,6 @@ def return_level_curve(
     strings so one bad period does not kill the curve; any other exception
     is a bug and propagates.
     """
-    from .predict import extreme_level_from_return_period
-
     rows: list[dict] = []
     for T in T_range:
         row: dict = {"T": int(T)}

@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
-from scipy.stats import beta as beta_dist
+from scipy.special import betainc, betaincinv
 
 from .bayes import PriorSpec, SamplerConfig, default_prior
 from .density import hellinger
@@ -206,10 +206,10 @@ class BetaTail:
         return -1.0 / self.b
 
     def quantile(self, u):
-        return beta_dist.ppf(np.asarray(u, dtype=float), self.a, self.b)
+        return betaincinv(self.a, self.b, np.asarray(u, dtype=float))
 
     def cdf(self, x):
-        return beta_dist.cdf(np.asarray(x, dtype=float), self.a, self.b)
+        return betainc(self.a, self.b, np.clip(np.asarray(x, dtype=float), 0.0, 1.0))
 
 
 Family = ExactGP | Pareto | Frechet | Burr | Exponential | BetaTail

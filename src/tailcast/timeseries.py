@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.signal import lfilter
 
 from .bayes import PriorSpec, SamplerConfig
 from .errors import (
@@ -154,6 +153,8 @@ def fit_ar(series, p: int, intercept: bool = False) -> ArModel:
 
 def _garch_sigma2(y_centered_sq: np.ndarray, omega: float, alpha: float, beta: float):
     """Variance recursion, vectorized through a linear filter."""
+    from scipy.signal import lfilter
+
     n = y_centered_sq.size
     s2_0 = float(np.mean(y_centered_sq))
     c = omega + alpha * y_centered_sq[:-1]
@@ -175,6 +176,8 @@ def _garch_neg_qll(params, y):
     the initial variance ``s2_0 = mean(e^2)``, which depends on the mean
     only.
     """
+    from scipy.signal import lfilter
+
     mu, log_omega, alpha, beta = params
     omega = math.exp(log_omega)
     n = y.size

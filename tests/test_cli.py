@@ -1,10 +1,13 @@
 import json
 import os
+import subprocess
+import sys
 
 import jsonschema
 import numpy as np
 import pytest
 
+import tailcast
 from tailcast.cli import main
 
 SCHEMA_DIR = os.path.join(
@@ -16,6 +19,28 @@ SCHEMA_DIR = os.path.join(
 def load_schema(name):
     with open(os.path.join(SCHEMA_DIR, name)) as fh:
         return json.load(fh)
+
+
+class TestStartup:
+    """``import tailcast.cli`` loads no scipy subpackage it does not need at once.
+
+    ``scipy.signal`` (the AR/GARCH filters) and ``scipy.integrate`` (the
+    shape-prior gate) are imported on first use; ``scipy.stats`` is not
+    used at all.
+    """
+
+    @pytest.mark.parametrize("module", ["tailcast.cli", "tailcast"])
+    def test_import_leaves_deferred_scipy_unloaded(self, module):
+        deferred = ("scipy.integrate", "scipy.signal", "scipy.stats")
+        code = (f"import sys, {module}; "
+                f"print(*[m for m in {deferred!r} if m in sys.modules])")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(tailcast.__file__)))
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert out.stdout.split() == []
 
 
 @pytest.fixture(scope="module")

@@ -399,6 +399,11 @@ class TestRateAndTrace:
         rows_ml = stability_trace(s, ks=[200, 400], method="ml")
         assert all(np.isfinite(g) for _, g in rows_ml)
 
+    def test_stability_trace_rejects_unknown_method(self):
+        s = SortedSample.from_data(np.arange(1.0, 1_001.0))
+        with pytest.raises(DomainError, match="unknown method 'mle'"):
+            stability_trace(s, ks=[100, 200], method="mle")
+
 
 class TestContainers:
     def test_sorted_sample_rejects_disorder(self):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.stats import beta as beta_dist
 from scipy.stats import kstest
 
 import tailcast.simlab as simlab
@@ -69,6 +70,20 @@ class TestGenerators:
         sample = generate(Generator(fam, seed=11), 50_000)
         assert sample.values[-1] <= 1.0
         assert fam.true_gamma == -0.5
+
+    @pytest.mark.parametrize("a,b", [(1.0, 2.0), (1.0, 5.0), (2.0, 3.0), (0.5, 0.5), (3.0, 1.0)])
+    def test_beta_tail_matches_scipy_stats(self, a, b):
+        u = np.concatenate([[0.0, 1.0], np.random.default_rng(107).random(20_000)])
+        x = np.concatenate([[-0.5, 1.5], u])
+        fam = BetaTail(a, b)
+        np.testing.assert_array_equal(fam.quantile(u), beta_dist.ppf(u, a, b))
+        np.testing.assert_array_equal(fam.cdf(x), beta_dist.cdf(x, a, b))
+
+    def test_beta_tail_quantile_near_zero(self):
+        # F(x) = 1.5 sqrt(x) (1 + O(x)) for Beta(1/2, 2); scipy.stats' ppf
+        # returned 3.0e-23 here in scipy 1.17.1
+        u = 1.2e-8
+        assert BetaTail(0.5, 2.0).quantile(u) == pytest.approx((u / 1.5) ** 2, rel=1e-12)
 
     def test_determinism(self):
         g = Generator(Pareto(2.0), seed=12)
