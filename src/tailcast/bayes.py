@@ -3,8 +3,9 @@
 Priors factor into a shape part and a scale part.  The shape prior must be
 integrable on (-1/2, 0) and bounded on (0, inf); the scale prior is either
 the improper log-uniform or a data-dependent family whose base density is
-rescaled by a consistent scale estimate.  Both conditions are checked
-numerically when a :class:`PriorSpec` is built.
+rescaled by a consistent scale estimate.  A :class:`PriorSpec` checks both
+conditions numerically for a :class:`CustomShape`; the built-in shapes are
+normalized densities, so they meet them by construction.
 
 Sampling runs a random-walk Metropolis chain on ``(gamma, log sigma)``
 whose proposal covariance adapts toward ``2.38^2/2`` times the empirical
@@ -61,10 +62,21 @@ class TruncatedNormalShape:
 
     mean: float = 0.0
     sd: float = 10.0
+    _log_norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.sd <= 0.0:
             raise PriorError("truncated-normal sd must be positive")
+        # normalization of the truncation; erfc underflows to 0 about 27 sd
+        # below the bound, and the product overflows for sd near 1e308
+        tail = 0.5 * math.erfc((_SHAPE_LOWER - self.mean) / (self.sd * math.sqrt(2)))
+        norm = self.sd * math.sqrt(2 * math.pi) * tail
+        if not 0.0 < norm < math.inf:
+            raise PriorError(
+                f"truncated-normal prior ({self.mean}, {self.sd}) has no "
+                "representable normalization above -1/2"
+            )
+        object.__setattr__(self, "_log_norm", math.log(norm))
 
     @property
     def support(self) -> tuple[float, float]:
@@ -74,9 +86,7 @@ class TruncatedNormalShape:
         if gamma <= _SHAPE_LOWER:
             return -math.inf
         z = (gamma - self.mean) / self.sd
-        # normalization of the truncation
-        tail = 0.5 * math.erfc((_SHAPE_LOWER - self.mean) / (self.sd * math.sqrt(2)))
-        return -0.5 * z * z - math.log(self.sd * math.sqrt(2 * math.pi) * tail)
+        return -0.5 * z * z - self._log_norm
 
 
 @dataclass(frozen=True)
@@ -170,15 +180,18 @@ def gamma_base_log_density(shape: float = 1.0, rate: float = 1.0):
 class PriorSpec:
     """Validated shape/scale prior pair.
 
-    Construction runs the numeric gate: the shape prior must integrate to a
-    finite value over (-1/2, 0) and be bounded on (0, inf).
+    Construction runs the numeric gate on a :class:`CustomShape`: the shape
+    prior must integrate to a finite value over (-1/2, 0) and be bounded on
+    (0, inf).  The built-in shapes are normalized densities, so integrable
+    and bounded by construction.
     """
 
     shape: TruncatedNormalShape | UniformWindowShape | CustomShape
     scale: LogUniformScale | DataDependentScale
 
     def __post_init__(self):
-        self._check_shape_prior()
+        if isinstance(self.shape, CustomShape):
+            self._check_shape_prior()
 
     def _check_shape_prior(self):
         from scipy.integrate import quad
@@ -316,9 +329,6 @@ class PosteriorSample:
     @property
     def m(self) -> int:
         return int(self.gammas.size)
-
-    def params_at(self, i: int) -> GpParams:
-        return GpParams(float(self.gammas[i]), float(self.sigmas[i]))
 
 
 def _initial_state(spec, e, logpost, fit):
@@ -525,7 +535,6 @@ class PosteriorSummary:
     endpoint_mean: float | None = None
     ci_endpoint: tuple[float, float] | None = None
     prob_finite_endpoint: float = 0.0
-    extras: dict = field(default_factory=dict, compare=False)
 
 
 def posterior_summary(

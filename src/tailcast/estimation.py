@@ -13,8 +13,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-# `minimize` is unused here; perfbench/tracing.py wraps `estimation.minimize`
-from scipy.optimize import brentq, minimize  # noqa: F401
 
 from .errors import (
     BoundaryWarning,
@@ -24,6 +22,7 @@ from .errors import (
     TieWarning,
 )
 from .gpd import GAMMA_ZERO_TOL, GpParams
+from .roots import brentq
 
 __all__ = [
     "SortedSample",
@@ -43,6 +42,16 @@ __all__ = [
 _SHAPE_LOWER = -0.5
 _BOUNDARY_MARGIN = 5e-3
 _GRAD_TOL = 1e-6
+
+
+def __getattr__(name: str):
+    # `minimize` is unused here; perfbench/tracing.py looks it up to wrap it.
+    # Imported on first access (PEP 562), so scipy stays off the import path.
+    if name != "minimize":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy.optimize import minimize
+
+    return minimize
 
 
 @dataclass(frozen=True)
@@ -242,7 +251,7 @@ def _profile_fit(y: np.ndarray) -> tuple[float, float]:
     lo, hi = t[max(i - 1, 0)], t[min(i + 1, t.size - 1)]
     if not _profile_score(lo, y) <= 0.0 <= _profile_score(hi, y):
         raise EstimationError("the best profile-likelihood cell brackets no root")
-    root = brentq(_profile_score, lo, hi, args=(y,), xtol=1e-15)
+    root = brentq(lambda theta: _profile_score(theta, y), lo, hi, xtol=1e-15)
     if root == 0.0:
         return 0.0, y_bar
     # an edge fit is reported just inside the admissible shapes

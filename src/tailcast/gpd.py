@@ -38,7 +38,6 @@ __all__ = [
     "LevelPair",
     "gp_cdf",
     "gp_pdf",
-    "gp_logpdf",
     "gp_quantile",
     "gp_sample",
     "threshold_shift",
@@ -253,11 +252,6 @@ def gp_logpdf_vec(gamma, sigma, x):
         vals[ok] = -(1.0 / g[ok] + 1.0) * np.log(base[ok]) - np.log(s[ok])
         out[gen] = vals
     return out
-
-
-def gp_logpdf(p: GpParams, x) -> float:
-    scalar = np.isscalar(x) or np.ndim(x) == 0
-    return _as_float(gp_logpdf_vec(p.gamma, p.sigma, x), scalar)
 
 
 def gp_quantile(p: GpParams, prob: float) -> float:

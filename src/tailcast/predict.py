@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .bayes import (
     PosteriorSample,
@@ -39,6 +38,7 @@ from .gpd import (
     predictive_quantile,
     predictive_shift_scale,
 )
+from .roots import brentq
 
 __all__ = [
     "PredictiveModel",
@@ -59,7 +59,6 @@ __all__ = [
 ]
 
 _CHUNK = 64  # rows per block when evaluating a mixture on an array of points
-_BRENT_RTOL = 4.0 * np.finfo(float).eps  # the smallest relative tolerance brentq accepts
 
 
 class PredictiveModel:
@@ -206,9 +205,7 @@ class BayesianPredictive(PredictiveModel):
             return lo
         # the mixture cdf is monotone and crosses prob inside the per-draw bracket
         try:
-            return brentq(
-                lambda y: self.cdf(y) - prob, lo, hi, xtol=1e-10, rtol=_BRENT_RTOL
-            )
+            return brentq(lambda y: self.cdf(y) - prob, lo, hi, xtol=1e-10)
         except RuntimeError as exc:
             raise NumericError(f"mixture quantile did not converge: {exc}") from exc
         except ValueError:

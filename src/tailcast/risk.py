@@ -10,7 +10,7 @@ the first-order tail approximation or the predictive mean.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from numpy.linalg import LinAlgError
 
@@ -44,7 +44,6 @@ class RiskReport:
     es_point: float | None = None
     es_reason: str | None = None
     interval: PredictiveInterval | None = None
-    extras: dict = field(default_factory=dict, compare=False)
 
 
 def extreme_var(fit: GpFit, e: ExceedanceSet, tau_e: float) -> float:

@@ -21,7 +21,6 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
-from scipy.special import betainc, betaincinv
 
 from .bayes import PriorSpec, SamplerConfig, default_prior
 from .density import hellinger
@@ -206,9 +205,13 @@ class BetaTail:
         return -1.0 / self.b
 
     def quantile(self, u):
+        from scipy.special import betaincinv
+
         return betaincinv(self.a, self.b, np.asarray(u, dtype=float))
 
     def cdf(self, x):
+        from scipy.special import betainc
+
         return betainc(self.a, self.b, np.clip(np.asarray(x, dtype=float), 0.0, 1.0))
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -12,6 +13,7 @@ from tailcast.bayes import (
     PosteriorSample,
     PriorSpec,
     SamplerConfig,
+    TruncatedNormalShape,
     UniformWindowShape,
     default_prior,
     gamma_base_log_density,
@@ -55,6 +57,76 @@ class TestPriorGate:
     def test_es_compatibility_window(self):
         assert flat_prior(-0.45, 0.99).es_compatible
         assert not flat_prior(-0.45, 1.5).es_compatible
+
+
+def numeric_gate(shape):
+    """Run the numeric gate that a ``CustomShape`` gets on ``shape``'s density;
+    raises :class:`PriorError` where it rejects."""
+    PriorSpec(CustomShape(shape.log_density, *shape.support), LogUniformScale())
+
+
+class TestBuiltinShapesSkipTheNumericGate:
+    """The built-in shapes are normalized densities, so the numeric gate
+    only runs for a ``CustomShape``; these tests pin that its verdict on
+    them was acceptance wherever it gave one."""
+
+    MEANS = (-1e6, -30.0, -1.0, -0.5, -0.49, -0.25, 0.0, 1e-9, 0.3, 1.0, 5.0,
+             100.0, 9_999.0, 1e5, 1e300)
+    SDS = (1e-300, 1e-12, 1e-3, 0.1, 1.0, 10.0, 1e3, 1e6, 1e300, 1e308)
+    WINDOWS = ((-0.5, -0.5 + 1e-15), (-0.5, -0.4999), (-0.5, 0.0), (-0.2, 0.1),
+               (0.0, 1e-300), (1.0, 1.0 + 1e-12), (0.0, 1e4), (5.0, 1e300),
+               (-0.5, 1e308))
+
+    def test_truncated_normal_sweep(self):
+        accepted = 0
+        for mean, sd in itertools.product(self.MEANS, self.SDS):
+            tail = 0.5 * math.erfc((-0.5 - mean) / (sd * math.sqrt(2)))
+            norm = sd * math.sqrt(2 * math.pi) * tail
+            if not 0.0 < norm < math.inf:
+                # at 0, log_density used to fail with a math domain error
+                # inside the gate; at inf it was -inf everywhere, which the gate
+                # let through and the sampler then rejected
+                with pytest.raises(PriorError, match="no representable normalization"):
+                    TruncatedNormalShape(mean, sd)
+                continue
+            shape = TruncatedNormalShape(mean, sd)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                numeric_gate(shape)
+            assert PriorSpec(shape, LogUniformScale()).shape is shape
+            accepted += 1
+        assert accepted == 121  # 29 of the 150 pairs have no normalization
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    def test_uniform_window_sweep(self, window):
+        shape = UniformWindowShape(*window)
+        numeric_gate(shape)
+        assert PriorSpec(shape, LogUniformScale()).shape is shape
+
+    @pytest.mark.parametrize("mean, sd, reason", [
+        (1e4, 1e-3, "keeps growing"),  # the gate's grid ends on the peak
+        (1e4, 1e-6, "keeps growing"),
+        (1e-9, 1e-310, "unbounded"),  # the density exceeds the float range there
+    ])
+    def test_where_the_numeric_gate_raised_a_false_alarm(self, mean, sd, reason):
+        # a normal density with all its mass above -1/2 is normalized, but the
+        # gate's heuristics misread a peak on its first or last grid point
+        shape = TruncatedNormalShape(mean, sd)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(PriorError, match=reason):
+                numeric_gate(shape)
+        assert PriorSpec(shape, LogUniformScale()).shape is shape
+        assert shape.log_density(mean) == pytest.approx(-math.log(sd * math.sqrt(2 * math.pi)))
+
+    def test_log_density_is_unchanged(self):
+        for mean, sd in ((0.0, 10.0), (-0.3, 0.05), (2.0, 0.5)):
+            shape = TruncatedNormalShape(mean, sd)
+            tail = 0.5 * math.erfc((-0.5 - mean) / (sd * math.sqrt(2)))
+            for g in (-0.49, -0.1, 0.0, 0.7, 3.0):
+                z = (g - mean) / sd
+                old = -0.5 * z * z - math.log(sd * math.sqrt(2 * math.pi) * tail)
+                assert shape.log_density(g) == old
 
 
 class TestLogPrior:

@@ -22,25 +22,32 @@ def load_schema(name):
 
 
 class TestStartup:
-    """``import tailcast.cli`` loads no scipy subpackage it does not need at once.
+    """``import tailcast.cli`` and ``import tailcast`` load no scipy module.
 
-    ``scipy.signal`` (the AR/GARCH filters) and ``scipy.integrate`` (the
-    shape-prior gate) are imported on first use; ``scipy.stats`` is not
-    used at all.
+    Brent's method is ported (``tailcast.roots``); ``minimize``, ``lfilter``
+    and ``betainc``/``betaincinv`` are imported on first use, and the
+    numeric shape-prior gate (``scipy.integrate``) runs only for a
+    ``CustomShape``.
     """
 
-    @pytest.mark.parametrize("module", ["tailcast.cli", "tailcast"])
-    def test_import_leaves_deferred_scipy_unloaded(self, module):
-        deferred = ("scipy.integrate", "scipy.signal", "scipy.stats")
-        code = (f"import sys, {module}; "
-                f"print(*[m for m in {deferred!r} if m in sys.modules])")
+    @staticmethod
+    def scipy_modules_after(code):
+        code += "; print(*[m for m in sys.modules if m.split('.')[0] == 'scipy'])"
         src = os.path.dirname(os.path.dirname(os.path.abspath(tailcast.__file__)))
         out = subprocess.run(
-            [sys.executable, "-c", code],
+            [sys.executable, "-c", "import sys; " + code],
             env={**os.environ, "PYTHONPATH": src},
             capture_output=True, text=True, timeout=120, check=True,
         )
-        assert out.stdout.split() == []
+        return out.stdout.split()
+
+    @pytest.mark.parametrize("module", ["tailcast.cli", "tailcast"])
+    def test_import_leaves_deferred_scipy_unloaded(self, module):
+        assert self.scipy_modules_after(f"import {module}") == []
+
+    def test_default_prior_leaves_scipy_integrate_unloaded(self):
+        code = "import tailcast.cli; tailcast.bayes.default_prior(1.0)"
+        assert "scipy.integrate" not in self.scipy_modules_after(code)
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +126,18 @@ class TestFit:
                      "--config", str(cfg)])
         assert code == 3
         assert "out of range" in capsys.readouterr().err
+
+    def test_prior_with_no_mass_above_the_shape_bound_exit_3(self, exp_csv, tmp_path,
+                                                            capsys):
+        # the truncation mass of N(-40, 1) above -1/2 underflows to 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"prior": {"shape": {"kind": "truncated-normal", "mean": -40, "sd": 1}}}
+        ))
+        code = main(["fit", "--input", exp_csv, "--k", "500", "--method", "bayes",
+                     "--config", str(cfg)])
+        assert code == 3
+        assert "no representable normalization" in capsys.readouterr().err
 
     def test_csv_format(self, exp_csv, tmp_path):
         out = tmp_path / "fit.csv"

@@ -104,6 +104,28 @@ class TestGarch:
             hits += int(ok)
         assert hits >= 0.8 * reps
 
+    def test_minimize_attribute_resolves_to_scipy(self):
+        # perfbench/tracing.py looks `minimize` up on both modules to wrap it
+        import tailcast.estimation as estimation
+
+        assert ts.minimize is minimize
+        assert estimation.minimize is minimize
+        with pytest.raises(AttributeError):
+            ts.no_such_name
+
+    def test_fit_garch11_calls_the_minimize_set_on_the_module(self, monkeypatch):
+        y = simulate_garch(0.1, 0.1, 0.8, 1_000, seed=3)
+        expected = fit_garch11(y)
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs["method"])
+            return minimize(*args, **kwargs)
+
+        monkeypatch.setattr(ts, "minimize", spy)
+        assert fit_garch11(y) == expected
+        assert calls == ["SLSQP"] * 4  # one search per start
+
     def test_iid_input_small_persistence(self):
         rng = np.random.default_rng(5)
         model = fit_garch11(rng.standard_normal(5_000))
