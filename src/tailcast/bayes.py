@@ -347,7 +347,8 @@ def _initial_state(spec, e, logpost, fit):
 
 
 def _initial_proposal_cov(e, fit):
-    """Inverse observed information at the ML fit; diagonal fallback."""
+    """Inverse observed information at the ML fit; diagonal fallback.  The
+    difference in gamma is one-sided where a step back would cross -1/2."""
     if fit is None:
         return np.diag([0.01, 0.01])
     theta = np.array([fit.params.gamma, math.log(fit.params.sigma)])
@@ -356,10 +357,12 @@ def _initial_proposal_cov(e, fit):
     for j in range(2):
         step = np.zeros(2)
         step[j] = h
+        one_sided = j == 0 and theta[0] - h <= _SHAPE_LOWER
+        back, width = (theta, h) if one_sided else (theta - step, 2.0 * h)
         hess[:, j] = (
             _negloglik_grad(theta + step, e.excesses)
-            - _negloglik_grad(theta - step, e.excesses)
-        ) / (2.0 * h)
+            - _negloglik_grad(back, e.excesses)
+        ) / width
     hess = 0.5 * (hess + hess.T) * e.excesses.size
     try:
         cov = np.linalg.inv(hess)

@@ -42,6 +42,10 @@ __all__ = [
 _SHAPE_LOWER = -0.5
 _BOUNDARY_MARGIN = 5e-3
 _GRAD_TOL = 1e-6
+# `_profile_fit`'s 37 data-free grid points in t: toward the pole at -1, toward 0, 0
+_T_GRID = np.concatenate(
+    [-1.0 + np.geomspace(1e-15, 0.25, 24), -np.geomspace(0.5, 1e-6, 12), [0.0]]
+)
 
 
 def __getattr__(name: str):
@@ -172,6 +176,11 @@ class GpFit:
     details: dict = field(default_factory=dict, compare=False)
 
 
+def _mean(v: np.ndarray) -> float:
+    """``np.mean`` of a 1-d array, bit for bit, without its per-call overhead."""
+    return float(np.add.reduce(v)) / len(v)
+
+
 def gp_negloglik(theta, excesses: np.ndarray) -> float:
     """Mean negative GP log-likelihood in ``(gamma, log sigma)`` coordinates.
 
@@ -188,9 +197,9 @@ def gp_negloglik(theta, excesses: np.ndarray) -> float:
     if gamma < 0.0 and excesses[-1] * (-gamma) >= sigma:
         return math.inf
     if abs(gamma) < GAMMA_ZERO_TOL:
-        return log_sigma + float(np.mean(excesses)) / sigma
+        return log_sigma + _mean(excesses) / sigma
     z = gamma * excesses / sigma
-    return log_sigma + (1.0 + 1.0 / gamma) * float(np.mean(np.log1p(z)))
+    return log_sigma + (1.0 + 1.0 / gamma) * _mean(np.log1p(z))
 
 
 def _negloglik_grad(theta, excesses: np.ndarray) -> np.ndarray:
@@ -203,16 +212,16 @@ def _negloglik_grad(theta, excesses: np.ndarray) -> np.ndarray:
         return np.array([math.nan, math.nan])
     u = excesses / sigma
     if abs(gamma) < GAMMA_ZERO_TOL:
-        mean_u = float(np.mean(u))
+        mean_u = _mean(u)
         # limits as gamma -> 0 of the general expressions below
-        d_gamma = mean_u - float(np.mean(u * u)) / 2.0
+        d_gamma = mean_u - _mean(u * u) / 2.0
         d_logs = 1.0 - mean_u
         return np.array([d_gamma, d_logs])
     w = 1.0 + gamma * u
     log_w = np.log(w)
     ratio = u / w
-    mean_log_w = float(np.mean(log_w))
-    mean_ratio = float(np.mean(ratio))
+    mean_log_w = _mean(log_w)
+    mean_ratio = _mean(ratio)
     d_gamma = -mean_log_w / gamma**2 + (1.0 + 1.0 / gamma) * mean_ratio
     d_logs = 1.0 - (1.0 + gamma) * mean_ratio
     return np.array([d_gamma, d_logs])
@@ -225,24 +234,21 @@ def _profile_score(t: float, y: np.ndarray) -> float:
     ``(k/u - sum(y / (1 - u y))) / k`` in ``u = -t = x_max / (2 sigma)``,
     where the log-likelihood is concave: one root, and no kink at m = -1/2."""
     if t == 0.0:  # the limit at the exponential fit
-        return float(np.mean(y) - np.mean(y * y) / (2.0 * np.mean(y)))
+        return _mean(y) - _mean(y * y) / (2.0 * _mean(y))
     w = t * y
-    g = max(float(np.mean(np.log1p(w))), _SHAPE_LOWER)
-    return float(np.mean(y / (1.0 + w))) * (1.0 / g + 1.0) - 1.0 / t
+    g = max(_mean(np.log1p(w)), _SHAPE_LOWER)
+    return _mean(y / (1.0 + w)) * (1.0 / g + 1.0) - 1.0 / t
 
 
 def _profile_fit(y: np.ndarray) -> tuple[float, float]:
     """(gamma, sigma / x_max) at the root of the profile score between the
     neighbours of the best point of a grid in ``t``."""
-    y_bar = float(np.mean(y))
+    y_bar = _mean(y)
     t_hi = 2.0 * (y_bar - float(y[0])) / float(y[0]) ** 2
-    t = np.concatenate([
-        -1.0 + np.geomspace(1e-15, 0.25, 24),  # toward the pole at -1
-        -np.geomspace(0.5, 1e-6, 12),
-        [0.0],
-        np.geomspace(min(1e-6, 0.5 * t_hi), t_hi, 40),  # to Grimshaw's bound
-    ])
-    m = np.log1p(np.multiply.outer(t, y)).mean(axis=1)
+    # 40 more points geometric up to Grimshaw's bound
+    t = np.concatenate([_T_GRID, np.geomspace(min(1e-6, 0.5 * t_hi), t_hi, 40)])
+    m = np.multiply.outer(t, y)
+    m = np.log1p(m, out=m).mean(axis=1)  # in place: allocating is the larger cost
     g = np.maximum(m, _SHAPE_LOWER)
     # g/t -> mean(y) as t -> 0, the exponential fit's profile value
     ratio = np.divide(g, t, out=np.full(t.size, y_bar), where=t != 0.0)
@@ -255,7 +261,7 @@ def _profile_fit(y: np.ndarray) -> tuple[float, float]:
     if root == 0.0:
         return 0.0, y_bar
     # an edge fit is reported just inside the admissible shapes
-    gamma = max(float(np.mean(np.log1p(root * y))), math.nextafter(_SHAPE_LOWER, 0.0))
+    gamma = max(_mean(np.log1p(root * y)), math.nextafter(_SHAPE_LOWER, 0.0))
     return gamma, gamma / root
 
 

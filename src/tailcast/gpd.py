@@ -148,8 +148,8 @@ def _near_zero(gamma) -> np.ndarray:
     return np.abs(gamma) < GAMMA_ZERO_TOL
 
 
-def _as_float(x, scalar: bool):
-    return float(x) if scalar else x
+def _as_float(x, like):
+    return float(x) if np.ndim(like) == 0 else x
 
 
 def gp_cdf_vec(gamma, sigma, x):
@@ -195,69 +195,51 @@ def gp_pdf_vec(gamma, sigma, x):
 
 
 def gp_quantile_vec(gamma, sigma, prob):
-    """GP quantile for prob in [0,1); prob=1 allowed only for gamma<0."""
+    """GP quantile for prob in [0,1); prob=1 allowed only for gamma<0.  Both
+    branches are evaluated on whole arrays, as in ``gp_cdf_vec``."""
     gamma = np.asarray(gamma, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     prob = np.asarray(prob, dtype=float)
-    z = np.broadcast_arrays(gamma, sigma, prob)
-    gamma, sigma, prob = (np.array(a) for a in z)
     if np.any((prob < 0.0) | (prob > 1.0)):
         raise DomainError("quantile probability must lie in [0, 1]")
     if np.any((prob == 1.0) & (gamma > -GAMMA_ZERO_TOL)):
         raise UnboundedQuantileError(
             "quantile at probability 1 is infinite for nonnegative shape"
         )
-    out = np.empty(gamma.shape, dtype=float)
     zero = _near_zero(gamma)
-    if np.any(zero):
-        out[zero] = -sigma[zero] * np.log1p(-prob[zero])
-    gen = ~zero
-    if np.any(gen):
-        g = gamma[gen]
-        with np.errstate(divide="ignore"):  # prob=1 with g<0 hits the endpoint
-            out[gen] = sigma[gen] * np.expm1(-g * np.log1p(-prob[gen])) / g
-    return out
+    g = np.where(zero, 1.0, gamma)  # near-zero shapes take the exponential branch
+    with np.errstate(divide="ignore"):  # prob=1 with g<0 hits the endpoint
+        log_q = np.log1p(-prob)
+        return np.where(zero, -sigma * log_q, sigma * np.expm1(-g * log_q) / g)
 
 
 def gp_cdf(p: GpParams, x: float) -> float:
     """P(U <= x) for U ~ GP(p); 0 below the support, 1 at and past the endpoint."""
-    scalar = np.isscalar(x) or np.ndim(x) == 0
-    return _as_float(gp_cdf_vec(p.gamma, p.sigma, x), scalar)
+    return _as_float(gp_cdf_vec(p.gamma, p.sigma, x), x)
 
 
 def gp_pdf(p: GpParams, x: float) -> float:
     """GP density at ``x``; 0 outside the support."""
-    scalar = np.isscalar(x) or np.ndim(x) == 0
-    return _as_float(gp_pdf_vec(p.gamma, p.sigma, x), scalar)
+    return _as_float(gp_pdf_vec(p.gamma, p.sigma, x), x)
 
 
 def gp_logpdf_vec(gamma, sigma, x):
-    """Log density; -inf outside the support.  Used by likelihood code."""
+    """Log density; -inf outside the support.  Used by likelihood code.
+    Evaluated on whole arrays and masked afterwards, like ``gp_pdf_vec``."""
     gamma = np.asarray(gamma, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     x = np.asarray(x, dtype=float)
-    z = np.broadcast_arrays(gamma, sigma, x)
-    gamma, sigma, x = (np.array(a) for a in z)
-    out = np.full(gamma.shape, -np.inf)
-    inside = x >= 0.0
-    zero = _near_zero(gamma) & inside
-    if np.any(zero):
-        out[zero] = -x[zero] / sigma[zero] - np.log(sigma[zero])
-    gen = ~_near_zero(gamma) & inside
-    if np.any(gen):
-        g, s, xx = gamma[gen], sigma[gen], x[gen]
-        base = 1.0 + g * xx / s
-        vals = np.full(base.shape, -np.inf)
-        ok = base > 0.0
-        vals[ok] = -(1.0 / g[ok] + 1.0) * np.log(base[ok]) - np.log(s[ok])
-        out[gen] = vals
-    return out
+    zero = _near_zero(gamma)
+    g = np.where(zero, 1.0, gamma)  # near-zero shapes take the exponential branch
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        base = 1.0 + g * x / sigma
+        out = np.where(zero, -x / sigma, -(1.0 / g + 1.0) * np.log(base)) - np.log(sigma)
+    return np.where((x >= 0.0) & (zero | (base > 0.0)), out, -np.inf)
 
 
 def gp_quantile(p: GpParams, prob: float) -> float:
     """Inverse cdf.  Round-trips with ``gp_cdf`` to ~1e-10 relative."""
-    scalar = np.isscalar(prob) or np.ndim(prob) == 0
-    return _as_float(gp_quantile_vec(p.gamma, p.sigma, prob), scalar)
+    return _as_float(gp_quantile_vec(p.gamma, p.sigma, prob), prob)
 
 
 def gp_sample(p: GpParams, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -305,25 +287,22 @@ def predictive_cdf(p: GpParams, t_i: float, levels: LevelPair, y) -> float:
     Evaluable for every real ``y`` (0 below the support, 1 past the endpoint).
     """
     m, s = predictive_shift_scale(p, levels)
-    scalar = np.isscalar(y) or np.ndim(y) == 0
     z = (np.asarray(y, dtype=float) - t_i - m) / s
-    return _as_float(gp_cdf_vec(p.gamma, p.sigma, z), scalar)
+    return _as_float(gp_cdf_vec(p.gamma, p.sigma, z), y)
 
 
 def predictive_pdf(p: GpParams, t_i: float, levels: LevelPair, y) -> float:
     """Density of the predictive law; the exact derivative of ``predictive_cdf``."""
     m, s = predictive_shift_scale(p, levels)
-    scalar = np.isscalar(y) or np.ndim(y) == 0
     z = (np.asarray(y, dtype=float) - t_i - m) / s
-    return _as_float(gp_pdf_vec(p.gamma, p.sigma, z) / s, scalar)
+    return _as_float(gp_pdf_vec(p.gamma, p.sigma, z) / s, y)
 
 
 def predictive_quantile(p: GpParams, t_i: float, levels: LevelPair, prob) -> float:
     """Quantile of the predictive law; closed form via the affine representation."""
     m, s = predictive_shift_scale(p, levels)
-    scalar = np.isscalar(prob) or np.ndim(prob) == 0
     q = gp_quantile_vec(p.gamma, p.sigma, prob)
-    return _as_float(t_i + m + s * q, scalar)
+    return _as_float(t_i + m + s * q, prob)
 
 
 def predictive_mean(p: GpParams, t_i: float, levels: LevelPair) -> float:

@@ -10,6 +10,7 @@ environment-dependent content, making byte-identical reruns possible.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import os
@@ -28,48 +29,58 @@ __all__ = [
 ]
 
 
-def _parse_cell(text: str, row: int, col: int) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise DomainError(
-            f"non-numeric value {text!r} at row {row}, column {col + 1}"
-        ) from None
+def _first_fault(rows, columns: int, first: int) -> DomainError:
+    """The error for the first faulty row; ``rows`` hold non-blank cells."""
+    for i, cells in enumerate(rows, start=first):
+        if len(cells) != columns:
+            return DomainError(
+                f"expected {columns} column(s) but found {len(cells)} at row {i}"
+            )
+        values = []
+        for col, text in enumerate(cells, start=1):
+            try:
+                values.append(float(text))
+            except ValueError:
+                return DomainError(
+                    f"non-numeric value {text!r} at row {i}, column {col}"
+                )
+        if not all(map(math.isfinite, values)):
+            return DomainError(f"non-finite value at row {i}")
 
 
 def read_numeric_csv(path: str, columns: int = 1) -> np.ndarray:
     """Read a numeric CSV with an optional single header line.
 
     Returns a 1-d array for ``columns=1`` and an ``(n, columns)`` array
-    otherwise.  Raises :class:`DomainError` with the offending row number
-    for malformed content.
+    otherwise; blank cells and rows are skipped.  Raises :class:`DomainError`
+    for the first malformed row, numbered among the non-blank rows.
     """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [row for row in reader if row and any(cell.strip() for cell in row)]
-    if not rows:
+        rows = list(csv.reader(fh))
+    cells = list(map(str.strip, itertools.chain.from_iterable(rows)))
+    filled = np.fromiter(map(bool, cells), dtype=bool, count=len(cells))
+    row_of = np.repeat(np.arange(len(rows)), list(map(len, rows)))
+    counts = np.bincount(row_of[filled], minlength=len(rows))
+    kept = np.flatnonzero(counts)  # the non-blank rows
+    if not kept.size:
         raise DomainError(f"input file {path!r} contains no data")
     start = 0
-    first = rows[0]
     try:
-        float(first[0])
+        float(rows[kept[0]][0])
     except ValueError:
         start = 1  # header line
-    if start == len(rows):
+    if start == kept.size:
         raise DomainError(f"input file {path!r} contains only a header")
-    data = []
-    for i, row in enumerate(rows[start:], start=start + 1):
-        cells = [c for c in row if c.strip()]
-        if len(cells) != columns:
-            raise DomainError(
-                f"expected {columns} column(s) but found {len(cells)} at row {i}"
-            )
-        data.append([_parse_cell(c.strip(), i, j) for j, c in enumerate(cells)])
-    arr = np.asarray(data, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        bad = int(np.argwhere(~np.isfinite(arr))[0][0]) + start + 1
-        raise DomainError(f"non-finite value at row {bad}")
-    return arr[:, 0] if columns == 1 else arr
+    data = list(itertools.compress(cells, filled))[counts[kept[0]] * start:]
+    try:
+        arr = np.fromiter(map(float, data), dtype=float, count=len(data))
+        ok = np.all(counts[kept[start:]] == columns) and np.all(np.isfinite(arr))
+    except ValueError:
+        ok = False
+    if not ok:
+        bad = ([c.strip() for c in rows[r] if c.strip()] for r in kept[start:])
+        raise _first_fault(bad, columns, start + 1)
+    return arr if columns == 1 else arr.reshape(-1, columns)
 
 
 def atomic_write_text(path: str, text: str) -> None:

@@ -22,7 +22,13 @@ from tailcast.bayes import (
     posterior_summary,
     sample_posterior,
 )
-from tailcast.errors import DomainError, EstimationError, PriorError, SamplerHealthWarning
+from tailcast.errors import (
+    BoundaryWarning,
+    DomainError,
+    EstimationError,
+    PriorError,
+    SamplerHealthWarning,
+)
 from tailcast.estimation import exceedances_from_excesses, fit_ml, fit_pwm, pwm_scale
 from tailcast.gpd import GAMMA_ZERO_TOL
 
@@ -186,6 +192,27 @@ class TestSampler:
     def test_adapt_interval_must_be_positive(self, adapt_interval):
         with pytest.raises(DomainError):
             SamplerConfig(adapt_interval=adapt_interval)
+
+    def test_edge_fit_proposal_comes_from_the_fit(self):
+        """At an edge fit a central difference would step past gamma = -1/2;
+        the one-sided one gives the fit's curvature, not the diagonal fallback."""
+        import tailcast.bayes as bayes
+        from tailcast.estimation import _negloglik_grad
+
+        e = exceedances_from_excesses(make_excesses(-0.3, 1.0, 30, seed=30))
+        with pytest.warns(BoundaryWarning):
+            fit = fit_ml(e)
+        cov = bayes._initial_proposal_cov(e, fit)
+        assert not np.array_equal(cov, np.diag([0.01, 0.01]))
+        assert np.all(np.linalg.eigvalsh(cov) > 0.0)
+        # against forward differences at a step 100 times smaller
+        theta = np.array([fit.params.gamma, math.log(fit.params.sigma)])
+        g0 = _negloglik_grad(theta, e.excesses)
+        hess = np.column_stack(
+            [(_negloglik_grad(theta + 1e-7 * d, e.excesses) - g0) / 1e-7 for d in np.eye(2)]
+        )
+        ref = np.linalg.inv(0.5 * (hess + hess.T) * e.excesses.size)
+        assert cov == pytest.approx(ref, rel=1e-3)
 
     def test_determinism(self):
         e = exceedances_from_excesses(make_excesses(0.3, 1.0, 500, seed=8))

@@ -17,7 +17,9 @@ from tailcast.gpd import (
     gp_cdf,
     gp_pdf,
     gp_cdf_vec,
+    gp_logpdf_vec,
     gp_pdf_vec,
+    gp_quantile_vec,
     gp_quantile,
     gp_sample,
     predictive_cdf,
@@ -150,6 +152,45 @@ def test_pdf_vec_equals_masked_form_exactly(params, points):
                 assert np.array_equal(gp_pdf_vec(g, s, v), _masked_gp_pdf(g, s, v))
 
 
+def _masked_gp_logpdf(gamma, sigma, x):
+    """The masked form gp_logpdf_vec had: each branch on its own elements only."""
+    gamma, sigma, x = (np.array(a) for a in np.broadcast_arrays(
+        np.asarray(gamma, dtype=float), np.asarray(sigma, dtype=float),
+        np.asarray(x, dtype=float)))
+    out = np.full(gamma.shape, -np.inf)
+    inside = x >= 0.0
+    zero = (np.abs(gamma) < GAMMA_ZERO_TOL) & inside
+    gen = (np.abs(gamma) >= GAMMA_ZERO_TOL) & inside
+    out[zero] = -x[zero] / sigma[zero] - np.log(sigma[zero])
+    g, s, xx = gamma[gen], sigma[gen], x[gen]
+    base = 1.0 + g * xx / s
+    vals = np.full(base.shape, -np.inf)
+    ok = base > 0.0
+    vals[ok] = -(1.0 / g[ok] + 1.0) * np.log(base[ok]) - np.log(s[ok])
+    out[gen] = vals
+    return out
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.lists(st.tuples(_pdf_shapes, st.floats(0.01, 100.0)), min_size=1, max_size=6),
+    st.lists(_pdf_points, min_size=1, max_size=6),
+)
+def test_logpdf_vec_equals_masked_form_exactly(params, points):
+    """Whole-array evaluation gives the masked form's values bit for bit."""
+    gamma, sigma = (np.array(v) for v in zip(*params))
+    x = np.array(points)[:, None]  # a (points x parameters) block
+    with np.errstate(all="ignore"):
+        expected = _masked_gp_logpdf(gamma, sigma, x)
+    assert np.array_equal(gp_logpdf_vec(gamma, sigma, x), expected)
+    for g, s in params:
+        for v in points:
+            got, expected = gp_logpdf_vec(g, s, v), _masked_gp_logpdf(g, s, v)
+            assert isinstance(got, np.ndarray) and got.shape == () == expected.shape
+            assert np.array_equal(got, expected)
+            assert np.signbit(got) == np.signbit(expected)
+
+
 def _masked_gp_cdf(gamma, sigma, x):
     """The masked form gp_cdf_vec had: each branch on its own elements only."""
     gamma, sigma, x = (np.array(a) for a in np.broadcast_arrays(
@@ -182,6 +223,58 @@ def test_cdf_vec_equals_masked_form_exactly(params, points):
     for g, s in params:
         for v in points:
             got, expected = gp_cdf_vec(g, s, v), _masked_gp_cdf(g, s, v)
+            assert np.array_equal(got, expected)
+            assert np.signbit(got) == np.signbit(expected)
+
+
+def _masked_gp_quantile(gamma, sigma, prob):
+    """The masked form gp_quantile_vec had: each branch on its own elements only."""
+    gamma, sigma, prob = (np.array(a) for a in np.broadcast_arrays(
+        np.asarray(gamma, dtype=float), np.asarray(sigma, dtype=float),
+        np.asarray(prob, dtype=float)))
+    out = np.empty(gamma.shape, dtype=float)
+    zero = np.abs(gamma) < GAMMA_ZERO_TOL
+    out[zero] = -sigma[zero] * np.log1p(-prob[zero])
+    gen = ~zero
+    g = gamma[gen]
+    with np.errstate(divide="ignore"):
+        out[gen] = sigma[gen] * np.expm1(-g * np.log1p(-prob[gen])) / g
+    return out
+
+
+_quantile_probs = st.one_of(
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.sampled_from([0.0, 5e-324, 1e-300, 0.5, 1.0 - 2.0**-53]),
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.lists(st.tuples(_pdf_shapes, st.floats(0.01, 100.0)), min_size=1, max_size=6),
+    st.lists(_quantile_probs, min_size=1, max_size=6),
+)
+def test_quantile_vec_equals_masked_form_exactly(params, probs):
+    """Whole-array evaluation gives the masked form's values bit for bit."""
+    gamma, sigma = (np.array(v) for v in zip(*params))
+    if np.all(gamma <= -GAMMA_ZERO_TOL):
+        probs = probs + [1.0]  # the endpoint, finite for every shape here
+    else:
+        with pytest.raises(UnboundedQuantileError):
+            gp_quantile_vec(gamma, sigma, np.array(probs + [1.0])[:, None])
+    prob = np.array(probs)[:, None]  # a (probabilities x parameters) block
+    with np.errstate(all="ignore"):
+        expected = _masked_gp_quantile(gamma, sigma, prob)
+        got = gp_quantile_vec(gamma, sigma, prob)
+    assert got.shape == expected.shape
+    assert np.array_equal(got, expected)
+    assert np.array_equal(np.signbit(got), np.signbit(expected))
+    for g, s in params:
+        for p in probs:
+            if p == 1.0 and g > -GAMMA_ZERO_TOL:
+                continue
+            with np.errstate(all="ignore"):
+                got, expected = gp_quantile_vec(g, s, p), _masked_gp_quantile(g, s, p)
+            assert isinstance(got, np.ndarray) and got.shape == () == expected.shape
             assert np.array_equal(got, expected)
             assert np.signbit(got) == np.signbit(expected)
 
