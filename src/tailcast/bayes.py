@@ -231,12 +231,20 @@ class PriorSpec:
                     "shape prior is not integrable on the negative-shape range"
                 )
         if hi > 0.0:
-            grid_hi = min(hi, 1e4)
-            grid = np.linspace(1e-9, grid_hi, 512)
-            vals = np.array([dens(g) for g in grid])
-            if not np.all(np.isfinite(vals)):
+            # judged on the log-density, which may exceed the float range of
+            # exp.  Growth is a rise over the grid's last quarter that goes on
+            # past the point where its height is judged, so that no narrow
+            # peak reads as growth, wherever it sits
+            grid = np.geomspace(1e-9, hi if hi < math.inf else 1e12, 512)
+            logd = np.array([self.shape.log_density(g) for g in grid])
+            if np.any(np.isnan(logd) | (logd == math.inf)):
                 raise PriorError("shape prior is unbounded on the positive range")
-            if hi == math.inf and vals[-1] > 100.0 and vals[-1] > 1.5 * vals[256]:
+            last = logd[384:]
+            if (
+                hi == math.inf
+                and np.all(last[1:] >= last[:-1])
+                and last[-2] > max(math.log(100.0), last[0] + math.log(1.5))
+            ):
                 raise PriorError(
                     "shape prior keeps growing on the positive range; "
                     "its supremum looks unbounded"

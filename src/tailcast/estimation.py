@@ -126,12 +126,18 @@ def select_exceedances(s: SortedSample, k: int) -> ExceedanceSet:
     Ties with the threshold produce zero excesses; those are dropped with a
     :class:`TieWarning` since the excess law lives on the positive axis.
     """
-    n = s.n
+    return _split_top(s.values, s.n, k)
+
+
+def _split_top(top: np.ndarray, n: int, k: int) -> ExceedanceSet:
+    """:func:`select_exceedances` of a sample of size ``n`` given only its
+    top order statistics ``top`` (ascending, at least ``k + 1`` of them
+    when ``k < n``).  A :class:`TieWarning` names the caller's caller.
+    """
     if not 1 <= k < n:
         raise DomainError(f"k must satisfy 1 <= k < n={n}, got {k}")
-    threshold = float(s.values[n - k - 1])
-    top = s.values[n - k:]
-    excesses = top - threshold
+    threshold = float(top[-k - 1])
+    excesses = top[-k:] - threshold
     positive = excesses > 0.0
     dropped = int(k - np.count_nonzero(positive))
     if dropped == k:
@@ -142,7 +148,7 @@ def select_exceedances(s: SortedSample, k: int) -> ExceedanceSet:
         warnings.warn(
             f"dropped {dropped} zero excess(es) tied with the threshold",
             TieWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     return ExceedanceSet(
         k=k,

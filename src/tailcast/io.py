@@ -49,7 +49,8 @@ def _first_fault(rows, columns: int, first: int) -> DomainError:
 
 
 def read_numeric_csv(path: str, columns: int = 1) -> np.ndarray:
-    """Read a numeric CSV with an optional single header line.
+    """Read a numeric CSV with an optional single header line: the first
+    non-blank row, when its first filled cell is not a number.
 
     Returns a 1-d array for ``columns=1`` and an ``(n, columns)`` array
     otherwise; blank cells and rows are skipped.  Raises :class:`DomainError`
@@ -64,14 +65,15 @@ def read_numeric_csv(path: str, columns: int = 1) -> np.ndarray:
     kept = np.flatnonzero(counts)  # the non-blank rows
     if not kept.size:
         raise DomainError(f"input file {path!r} contains no data")
+    data = list(itertools.compress(cells, filled))
     start = 0
     try:
-        float(rows[kept[0]][0])
+        float(data[0])
     except ValueError:
         start = 1  # header line
     if start == kept.size:
         raise DomainError(f"input file {path!r} contains only a header")
-    data = list(itertools.compress(cells, filled))[counts[kept[0]] * start:]
+    data = data[counts[kept[0]] * start:]
     try:
         arr = np.fromiter(map(float, data), dtype=float, count=len(data))
         ok = np.all(counts[kept[start:]] == columns) and np.all(np.isfinite(arr))

@@ -2,7 +2,9 @@
 
 Families cover the three domains of attraction (heavy, light, short
 tails), all sampled by inverse cdf so a replication is fully determined by
-its seed.  Replication seeds are spawned from the experiment seed through
+its seed.  A replication draws all ``n`` uniforms but maps only the top
+``k + 1`` through the quantile, since its methods read no more.
+Replication seeds are spawned from the experiment seed through
 ``numpy.random.SeedSequence([seed, context, replication])``, which makes
 aggregates independent of execution order.
 
@@ -32,7 +34,7 @@ from .errors import (
     NumericError,
     SamplerError,
 )
-from .estimation import SortedSample, select_exceedances
+from .estimation import ExceedanceSet, SortedSample, _split_top
 from .gpd import (
     GpParams,
     LevelPair,
@@ -228,13 +230,20 @@ class Generator:
         return self.family.true_gamma
 
 
-def generate(g: Generator, n: int, seed: int | None = None) -> SortedSample:
-    """Inverse-cdf sample of size ``n``, sorted; deterministic given the seed."""
+def _top(fam: Family, n: int, m: int, seed: int) -> np.ndarray:
+    """The top ``m`` of an inverse-cdf sample of size ``n``, ascending: bit for
+    bit those of the sorted sample, as the quantile is monotone and elementwise."""
     if n < 1:
         raise DomainError(f"sample size must be positive, got {n}")
-    rng = np.random.default_rng(g.seed if seed is None else seed)
-    u = rng.random(n)
-    return SortedSample(np.sort(np.asarray(g.family.quantile(u), dtype=float)))
+    u = np.random.default_rng(seed).random(n)
+    if m < n:
+        u = np.partition(u, n - m)[n - m :]
+    return np.sort(np.asarray(fam.quantile(u), dtype=float))
+
+
+def generate(g: Generator, n: int, seed: int | None = None) -> SortedSample:
+    """Inverse-cdf sample of size ``n``, sorted; deterministic given the seed."""
+    return SortedSample(_top(g.family, n, n, g.seed if seed is None else seed))
 
 
 @dataclass(frozen=True)
@@ -358,16 +367,32 @@ def _replicate(methods, reps: int, draw, evaluate) -> dict[str, _Tally]:
     return tallies
 
 
-def _draw(cfg: ExperimentConfig, n: int, rep: int, n_ctx: int):
-    """Replication ``rep``'s sample of size ``n``, and the rng that seeded it."""
+@dataclass(frozen=True)
+class _Draw:
+    """What a replication's methods read of its sample of size ``n``: the top
+    ``min(k + 1, n)`` order statistics, and the coverage test point's uniform."""
+
+    top: np.ndarray
+    n: int
+    k: int
+    u_test: float
+
+    def exceedances(self) -> ExceedanceSet:
+        """``select_exceedances`` of the whole sorted sample at ``k``."""
+        return _split_top(self.top, self.n, self.k)
+
+
+def _draw(cfg: ExperimentConfig, n: int, k: int, rep: int, n_ctx: int) -> _Draw:
+    """Replication ``rep``'s draw at ``(n, k)``."""
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, n_ctx, rep]))
-    return generate(cfg.generator, n, seed=int(rng.integers(2**63))), rng
+    top = _top(cfg.generator.family, n, k + 1, int(rng.integers(2**63)))
+    return _Draw(top, n, k, rng.random())
 
 
 def _rows_at(cfg: ExperimentConfig, n: int, n_ctx: int, evaluate, summarise):
     """One row per method at sample size ``n``.
 
-    ``evaluate(method, sample, k, rep_seed)`` scores one replication and
+    ``evaluate(method, draw, rep_seed)`` scores one replication and
     ``summarise(values)`` turns a method's scores into the row's statistics.
     ``n_ctx`` enters the replication seeds: the ladder experiments pass ``n``
     even without a ladder, the others 0.
@@ -376,10 +401,8 @@ def _rows_at(cfg: ExperimentConfig, n: int, n_ctx: int, evaluate, summarise):
     tallies = _replicate(
         cfg.methods,
         cfg.replications,
-        lambda rep: _draw(cfg, n, rep, n_ctx)[0],
-        lambda method, rep, sample: evaluate(
-            method, sample, k, _rep_seed(cfg.seed, rep, n_ctx)
-        ),
+        lambda rep: _draw(cfg, n, k, rep, n_ctx),
+        lambda method, rep, draw: evaluate(method, draw, _rep_seed(cfg.seed, rep, n_ctx)),
     )
     return [
         {
@@ -402,13 +425,13 @@ def _quantiles(values, *probs: float) -> list[float]:
     return [float(np.median(arr) if p == 0.5 else np.quantile(arr, p)) for p in probs]
 
 
-def _estimated_model(cfg: ExperimentConfig, method: str, sample, k: int, rep_seed: int):
+def _estimated_model(cfg: ExperimentConfig, method: str, draw: _Draw, rep_seed: int):
     """(intermediate model, extreme model, fallback flag) fitted to the top
     ``k`` of one replication's sample.
 
     ML falls back to PWM (flagged) so aggregates stay defined.
     """
-    e = select_exceedances(sample, k)
+    e = draw.exceedances()
     try:
         tail = fit_tail(e, method, cfg.prior, replace(cfg.sampler, seed=rep_seed))
         fell_back = False
@@ -463,12 +486,7 @@ def coverage_experiment(cfg: ExperimentConfig) -> CoverageResult:
         """The true ``p`` quantile of a peak above the ``tau_e`` quantile."""
         return float(fam.quantile(tau_e + p * (1.0 - tau_e)))
 
-    def draw(rep: int):
-        sample, rng = _draw(cfg, cfg.n, rep, 0)
-        return sample, rng.random()
-
-    def evaluate(method: str, rep: int, ctx):
-        sample, u_test = ctx
+    def evaluate(method: str, draw: _Draw, rep_seed: int):
         if method == "oracle":
             tau_e, fell_back = oracle_levels.tau_e, False
             interval = PredictiveInterval(
@@ -477,37 +495,25 @@ def coverage_experiment(cfg: ExperimentConfig) -> CoverageResult:
                 cfg.alpha,
             )
         else:
-            _, model_ext, fell_back = _estimated_model(
-                cfg, method, sample, k, _rep_seed(cfg.seed, rep)
-            )
+            _, model_ext, fell_back = _estimated_model(cfg, method, draw, rep_seed)
             tau_e = model_ext.levels.tau_e
             interval = predictive_interval(model_ext, cfg.alpha)
-        covered = interval.contains(peak_quantile(tau_e, u_test))
+        covered = interval.contains(peak_quantile(tau_e, draw.u_test))
         return (int(covered), interval.width), fell_back
 
-    tallies = _replicate(cfg.methods, cfg.replications, draw, evaluate)
+    def summarise(oks) -> dict:
+        if not oks:
+            return {"coverage": math.nan, "se": math.nan, "mean_width": math.nan}
+        cov = sum(o[0] for o in oks) / len(oks)
+        se = math.sqrt(cov * (1.0 - cov) / len(oks))
+        return {"coverage": cov, "se": se, "mean_width": sum(o[1] for o in oks) / len(oks)}
+
     stats = {}
-    for m in cfg.methods:
-        oks = tallies[m].values
-        n_used = len(oks)
-        if n_used:
-            cov = sum(o[0] for o in oks) / n_used
-            se = math.sqrt(cov * (1.0 - cov) / n_used)
-            width = sum(o[1] for o in oks) / n_used
-        else:
-            cov = se = width = math.nan
-        stats[m] = CoverageStat(m, cov, se, width, n_used, **tallies[m].columns())
+    for row in _rows_at(cfg, cfg.n, 0, evaluate, summarise):
+        del row["n"], row["k"]
+        row["n_used"] = row.pop("replications")
+        stats[row["method"]] = CoverageStat(**row)
     return CoverageResult(stats=stats, config_seed=cfg.seed)
-
-
-def _true_peak_pdf(fam: ExactGP, t_e: float):
-    """Exact density of a peak above ``t_e`` for the exact-GP family."""
-    excess_params = fam.conditional_excess_params(t_e)
-
-    def pdf(y):
-        return gp_pdf(excess_params, y - t_e)
-
-    return pdf, excess_params
 
 
 # Tolerance on the integral 2 H^2 that each arm of contraction_experiment asks
@@ -532,22 +538,19 @@ def contraction_experiment(cfg: ExperimentConfig) -> list[dict]:
     if not isinstance(fam, ExactGP):
         raise DomainError("contraction experiments need the exact-GP generator")
 
-    def evaluate(method: str, sample, k: int, rep_seed: int):
+    def evaluate(method: str, draw: _Draw, rep_seed: int):
         if method == "oracle":
-            tau_i = 1.0 - k / sample.n
+            tau_i = 1.0 - draw.k / draw.n
             levels = cfg.level_rule.levels_for(tau_i, fam.true_gamma)
             model, fell_back = _oracle_model(fam, tau_i, levels), False
         else:
-            _, model, fell_back = _estimated_model(cfg, method, sample, k, rep_seed)
+            _, model, fell_back = _estimated_model(cfg, method, draw, rep_seed)
         t_e_true = float(fam.quantile(model.levels.tau_e))
-        true_pdf, excess_params = _true_peak_pdf(fam, t_e_true)
+        excess_params = fam.conditional_excess_params(t_e_true)
         lower = min(model.support_lower(), t_e_true)
-        upper_true = (
-            t_e_true + excess_params.upper if excess_params.gamma < 0 else math.inf
-        )
-        upper = max(model.support_upper(), upper_true)
+        upper = max(model.support_upper(), t_e_true + excess_params.upper)
         distance = hellinger(
-            true_pdf,
+            lambda y: gp_pdf(excess_params, y - t_e_true),
             model.pdf,
             Support(lower, upper),
             abs_tol=HELLINGER_ABS_TOL[method],
@@ -577,13 +580,13 @@ def tail_equivalence_experiment(cfg: ExperimentConfig) -> list[dict]:
         raise DomainError("the oracle arm needs the exact-GP generator")
     tau_star = cfg.level_rule.value
 
-    def evaluate(method: str, sample, k: int, rep_seed: int):
+    def evaluate(method: str, draw: _Draw, rep_seed: int):
         if method == "oracle":
-            tau_i = 1.0 - k / sample.n
+            tau_i = 1.0 - draw.k / draw.n
             levels = LevelPair.intermediate(tau_i)
             model, fell_back = _oracle_model(fam, tau_i, levels), False
         else:
-            model, _, fell_back = _estimated_model(cfg, method, sample, k, rep_seed)
+            model, _, fell_back = _estimated_model(cfg, method, draw, rep_seed)
         q_true = float(fam.quantile(1.0 - tau_star * (1.0 - model.levels.tau_i)))
         return tail_equivalence_ratio(model, q_true, tau_star), fell_back
 
@@ -641,10 +644,8 @@ def risk_error_experiment(cfg: ExperimentConfig) -> list[dict]:
             "infinite; risk-error needs a prior supported strictly below 1"
         )
 
-    def evaluate(method: str, sample, k: int, rep_seed: int):
-        model_int, model_ext, fell_back = _estimated_model(
-            cfg, method, sample, k, rep_seed
-        )
+    def evaluate(method: str, draw: _Draw, rep_seed: int):
+        model_int, model_ext, fell_back = _estimated_model(cfg, method, draw, rep_seed)
         tau_e = model_ext.levels.tau_e
         var_true = float(fam.quantile(tau_e))
         es_true = true_es(tau_e)
@@ -722,8 +723,7 @@ def ts_coverage_experiment(cfg: TsCoverageConfig) -> list[dict]:
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
     n_total = cfg.burn + cfg.window + (cfg.origins - 1) * stride + 1
     eps = np.asarray(cfg.innovations.quantile(rng.random(n_total)), dtype=float)
-    y = lfilter([1.0], [1.0, -cfg.phi], eps)
-    y = y[cfg.burn :]
+    y = lfilter([1.0], [1.0, -cfg.phi], eps)[cfg.burn :]
     u_test = rng.random(cfg.origins)
 
     def evaluate(method: str, j: int, seg):

@@ -33,8 +33,9 @@ def read_exact(path, columns=1):
     ('"1.25"\n" 2 "\n', [1.25, 2.0]),  # quoted cells
     ("1,\n2, \n", [1.0, 2.0]),  # a trailing empty cell
     ("  7 \n\t8\t\n", [7.0, 8.0]),  # cells are stripped
-    (",1\n2\n", [2.0]),  # a leading empty cell in the first row reads as a header
+    (",1\n2\n", [1.0, 2.0]),  # the header test reads the first filled cell
     ("nan_header\n1\n", [1.0]),
+    (",value\n1\n", [1.0]),  # a header after a leading empty cell
 ])
 def test_one_column(csv_file, text, expected):
     got = read_exact(csv_file(text))

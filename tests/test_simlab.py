@@ -1,18 +1,24 @@
+import inspect
+import warnings
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from scipy.stats import beta as beta_dist
 from scipy.stats import kstest
 
 import tailcast.simlab as simlab
-from tailcast.bayes import LogUniformScale, PriorSpec, UniformWindowShape
+from tailcast.bayes import LogUniformScale, PriorSpec, SamplerConfig, UniformWindowShape
 from tailcast.errors import (
     DomainError,
     EstimationError,
     InfiniteMeanError,
     NumericError,
     SamplerError,
+    TieWarning,
 )
-from tailcast.estimation import fit_hill
+from tailcast.estimation import SortedSample, fit_hill, select_exceedances
+from tailcast.io import rows_to_csv_text
 from tailcast.simlab import (
     BetaTail,
     Burr,
@@ -292,10 +298,11 @@ class TestConfigurationErrors:
 
     @pytest.fixture(autouse=True)
     def no_replications(self, monkeypatch):
-        def generate(*args, **kwargs):
+        # every replication of every experiment starts with `_draw`
+        def draw(*args, **kwargs):
             raise AssertionError("a replication ran")
 
-        monkeypatch.setattr(simlab, "generate", generate)
+        monkeypatch.setattr(simlab, "_draw", draw)
 
     def test_tail_equivalence_oracle_needs_exact_gp(self):
         with pytest.raises(DomainError, match="exact-GP"):
@@ -339,3 +346,134 @@ class TestConfigurationErrors:
         prior = PriorSpec(UniformWindowShape(-0.49, 0.99), LogUniformScale())
         with pytest.raises(AssertionError, match="a replication ran"):
             risk_error_experiment(small_cfg(methods=("bayes",), prior=prior))
+
+
+# a family whose top order statistics round to 1.0 and to the floats just
+# below it, so that the threshold ties with some of the top k
+TIED = BetaTail(1.0, 0.08)
+
+
+class TestTopOnlyDraw:
+    """A replication maps only its top ``k + 1`` uniforms through the
+    quantile; everything it reports equals the whole-sample path."""
+
+    @pytest.mark.parametrize("family", [f for f, _ in FAMILIES] + [
+        ExactGP(-0.3, 1.0), ExactGP(0.0, 2.0), TIED])
+    @pytest.mark.parametrize("n,k", [(2_000, 178), (10_000, 500), (1_000, 999), (5, 1)])
+    def test_top_equals_the_top_of_generate(self, family, n, k):
+        for seed in (1, 2**62 + 3):
+            whole = generate(Generator(family), n, seed=seed).values
+            top = simlab._top(family, n, k + 1, seed)
+            assert top.tobytes() == whole[n - k - 1 :].tobytes()
+        assert simlab._top(family, n, n, 4).tobytes() == generate(
+            Generator(family), n, seed=4).values.tobytes()
+
+    def test_draw_carries_n_k_and_the_test_uniform(self):
+        cfg = small_cfg()
+        draw = simlab._draw(cfg, 2_000, 200, 3, 0)
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0, 3]))
+        whole = generate(cfg.generator, 2_000, seed=int(rng.integers(2**63)))
+        assert (draw.n, draw.k, draw.u_test) == (2_000, 200, rng.random())
+        assert draw.top.tobytes() == whole.values[-201:].tobytes()
+
+    @pytest.mark.parametrize("family,n,k", [
+        (ExactGP(0.25, 1.0), 2_000, 200), (Pareto(2.0), 1_000, 999),
+        (BetaTail(1.0, 2.0), 500, 50), (TIED, 1_000, 63)])
+    def test_exceedance_sets_are_equal(self, family, n, k):
+        dropped = 0
+        for seed in range(6):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                want = select_exceedances(generate(Generator(family), n, seed), k)
+                got = simlab._Draw(simlab._top(family, n, k + 1, seed), n, k, 0.5).exceedances()
+            assert got.excesses.tobytes() == want.excesses.tobytes()
+            assert (got.k, got.threshold, got.tau_i, got.n_dropped) == (
+                want.k, want.threshold, want.tau_i, want.n_dropped)
+            # both name the line in this file that asked for the split
+            assert [(w.category, w.filename) for w in caught] == [
+                (TieWarning, __file__)] * (2 * bool(want.n_dropped))
+            dropped += want.n_dropped
+        assert dropped > 0 or family != TIED  # the tied family does tie
+
+    @dataclass(frozen=True)
+    class WholeSampleDraw:
+        """The path before the top-only draw: ``generate`` + ``select_exceedances``."""
+
+        sample: SortedSample
+        k: int
+        u_test: float
+
+        @property
+        def n(self):
+            return self.sample.n
+
+        def exceedances(self):
+            return select_exceedances(self.sample, self.k)
+
+    @classmethod
+    def whole_sample_rows(cls, monkeypatch, run, cfg):
+        def draw(cfg, n, k, rep, n_ctx):
+            rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, n_ctx, rep]))
+            sample = generate(cfg.generator, n, seed=int(rng.integers(2**63)))
+            return cls.WholeSampleDraw(sample, k, rng.random())
+
+        with monkeypatch.context() as m:
+            m.setattr(simlab, "_draw", draw)
+            return run(cfg)
+
+    FAST = SamplerConfig(burn_in=300, draws=1_000)
+    CASES = [
+        (lambda c: coverage_experiment(c).rows(),
+         dict(methods=("oracle", "ml", "pwm", "bayes"), sampler=FAST)),
+        (contraction_experiment, dict(methods=("oracle", "ml", "pwm"), n_ladder=(500, 2_000),
+                                      k_rule=KRule("power", coef=2.0, delta=0.5))),
+        (contraction_experiment, dict(methods=("bayes",), sampler=FAST)),
+        (tail_equivalence_experiment, dict(methods=("oracle", "ml", "pwm", "bayes"),
+                                           sampler=FAST, n_ladder=(300, 1_000))),
+        (risk_error_experiment, dict(generator=Generator(Pareto(3.0), seed=2),
+                                     methods=("ml", "pwm"), k_rule=KRule("fixed", k=10**9))),
+        (lambda c: coverage_experiment(c).rows(), dict(
+            generator=Generator(TIED), methods=("ml", "pwm"), n=1_000,
+            k_rule=KRule("fixed", k=63))),
+    ]
+
+    @pytest.mark.parametrize("run,kwargs", CASES)
+    def test_rows_are_byte_identical(self, monkeypatch, run, kwargs):
+        cfg = small_cfg(**{"replications": 50, **kwargs})
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # ties, and ML fits at the -1/2 edge
+            got = rows_to_csv_text(run(cfg))
+            want = rows_to_csv_text(self.whole_sample_rows(monkeypatch, run, cfg))
+        assert got == want
+
+    def test_clamped_k_fails_per_method(self):
+        # k_for(2) = 2 = n: select_exceedances refuses it, in every method's
+        # evaluation and not in the draw
+        rows = tail_equivalence_experiment(small_cfg(n=2, methods=("ml", "pwm"), replications=50))
+        for row in rows:
+            assert (row["k"], row["replications"]) == (2, 0)
+            assert row["failure_reasons"] == "DomainError:50"
+
+    def test_all_tied_top_fails_per_method(self):
+        rows = tail_equivalence_experiment(small_cfg(
+            generator=Generator(BetaTail(1.0, 0.01)), n=1_000,
+            k_rule=KRule("fixed", k=100), methods=("ml", "pwm"), replications=50))
+        for row in rows:
+            assert row["failure_reasons"] == "DegenerateDataError:50"
+
+    def test_ties_warn_once_per_method_from_the_fit(self, monkeypatch):
+        cfg = small_cfg(generator=Generator(TIED), n=1_000, k_rule=KRule("fixed", k=63),
+                        methods=("ml", "pwm"), replications=50)
+        counts = []
+        for run in (tail_equivalence_experiment,
+                    lambda c: self.whole_sample_rows(monkeypatch, tail_equivalence_experiment, c)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                run(cfg)
+            ties = [w for w in caught if w.category is TieWarning]
+            counts.append(len(ties))
+            if run is tail_equivalence_experiment:  # named at the fit, as before
+                lines, first = inspect.getsourcelines(simlab._estimated_model)
+                assert {w.filename for w in ties} == {simlab.__file__}
+                assert {w.lineno for w in ties} <= set(range(first, first + len(lines)))
+        assert counts[0] == counts[1] > 0 and counts[0] % 2 == 0
