@@ -6,7 +6,9 @@ its seed.  A replication draws all ``n`` uniforms but maps only the top
 ``k + 1`` through the quantile, since its methods read no more.
 Replication seeds are spawned from the experiment seed through
 ``numpy.random.SeedSequence([seed, context, replication])``, which makes
-aggregates independent of execution order.
+aggregates independent of execution order.  So an experiment runs in
+stages: it draws every replication, samples all of the Bayes arm's chains
+in lockstep, then evaluates each replication.
 
 Runners check the observable consequences of the asymptotic theory:
 conditional coverage of predictive intervals, contraction of the Hellinger
@@ -24,7 +26,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .bayes import PriorSpec, SamplerConfig, default_prior
+from .bayes import PosteriorSample, PriorSpec, SamplerConfig, default_prior, sample_posteriors
 from .density import hellinger
 from .errors import (
     DegenerateDataError,
@@ -34,7 +36,7 @@ from .errors import (
     NumericError,
     SamplerError,
 )
-from .estimation import ExceedanceSet, SortedSample, _split_top
+from .estimation import ExceedanceSet, SortedSample, _split_top, pwm_scale
 from .gpd import (
     GpParams,
     LevelPair,
@@ -47,6 +49,7 @@ from .gpd import (
 from .predict import (
     FrequentistPredictive,
     PredictiveInterval,
+    TailFit,
     extreme_level_from_c,
     fit_tail,
     predictive_interval,
@@ -225,6 +228,9 @@ class Generator:
     family: Family
     seed: int = 0
 
+    def __post_init__(self):
+        _check_seed(self.seed, "generator")
+
     @property
     def true_gamma(self) -> float:
         return self.family.true_gamma
@@ -301,11 +307,18 @@ class ExperimentConfig:
     rel_err_tol: float = 0.15
 
     def __post_init__(self):
+        _check_seed(self.seed, "experiment")
         if self.replications < 50:
             raise DomainError("experiments need at least 50 replications")
         if not 0.0 < self.alpha < 1.0:
             raise DomainError(f"alpha must lie in (0,1), got {self.alpha}")
         _check_methods(self.methods, ("oracle", "ml", "pwm", "bayes"))
+
+
+def _check_seed(seed: int, what: str) -> None:
+    """Refuse a seed that ``numpy.random`` would reject mid-run."""
+    if seed < 0:
+        raise DomainError(f"{what} seed must be non-negative, got {seed}")
 
 
 def _check_methods(methods, supported) -> None:
@@ -345,17 +358,19 @@ class _Tally:
         }
 
 
-def _replicate(methods, reps: int, draw, evaluate) -> dict[str, _Tally]:
-    """Run every method on every replication.
+def _replicate(methods, ctxs, evaluate) -> dict[str, _Tally]:
+    """Run every method on every drawn replication.
 
-    ``draw(rep)`` is called once per replication, before any method runs,
-    and ``evaluate(method, rep, ctx)`` returns ``(value, fell_back)``.  A
+    ``ctxs`` holds every replication's draw, made before any method runs,
+    so that work cheaper done for all replications at once can run between
+    the draws and the evaluations: :func:`_rows_at` samples the Bayes arm's
+    chains there, in lockstep (:func:`_bayes_fits`).
+    ``evaluate(method, rep, ctx)`` returns ``(value, fell_back)``.  A
     failure in ``_REP_FAILURES`` is counted by class; any other exception
     is a bug and propagates.
     """
     tallies = {m: _Tally() for m in methods}
-    for rep in range(reps):
-        ctx = draw(rep)
+    for rep, ctx in enumerate(ctxs):
         for method, tally in tallies.items():
             try:
                 value, fell_back = evaluate(method, rep, ctx)
@@ -392,17 +407,19 @@ def _draw(cfg: ExperimentConfig, n: int, k: int, rep: int, n_ctx: int) -> _Draw:
 def _rows_at(cfg: ExperimentConfig, n: int, n_ctx: int, evaluate, summarise):
     """One row per method at sample size ``n``.
 
-    ``evaluate(method, draw, rep_seed)`` scores one replication and
-    ``summarise(values)`` turns a method's scores into the row's statistics.
-    ``n_ctx`` enters the replication seeds: the ladder experiments pass ``n``
-    even without a ladder, the others 0.
+    ``evaluate(method, draw, bayes_fit)`` scores one replication, where
+    ``bayes_fit`` is the replication's entry of :func:`_bayes_fits` (None
+    without a Bayes arm), and ``summarise(values)`` turns a method's scores
+    into the row's statistics.  ``n_ctx`` enters the replication seeds: the
+    ladder experiments pass ``n`` even without a ladder, the others 0.
     """
     k = cfg.k_rule.k_for(n)
+    draws = [_draw(cfg, n, k, rep, n_ctx) for rep in range(cfg.replications)]
+    bayes = (
+        _bayes_fits(cfg, draws, n_ctx) if "bayes" in cfg.methods else [None] * len(draws)
+    )
     tallies = _replicate(
-        cfg.methods,
-        cfg.replications,
-        lambda rep: _draw(cfg, n, k, rep, n_ctx),
-        lambda method, rep, draw: evaluate(method, draw, _rep_seed(cfg.seed, rep, n_ctx)),
+        cfg.methods, draws, lambda method, rep, draw: evaluate(method, draw, bayes[rep])
     )
     return [
         {
@@ -417,6 +434,33 @@ def _rows_at(cfg: ExperimentConfig, n: int, n_ctx: int, evaluate, summarise):
     ]
 
 
+def _bayes_fits(cfg: ExperimentConfig, draws: list[_Draw], n_ctx: int) -> list:
+    """Each replication's Bayes :class:`TailFit`, or the failure raised for it.
+
+    Each replication gets what ``fit_tail(e, "bayes", cfg.prior, sampler)``
+    would use: its exceedances, ``cfg.prior`` or the default prior anchored
+    on the PWM scale, and its own sampler seed.  The chains then advance
+    together (:func:`sample_posteriors`), each with the draws
+    :func:`sample_posterior` would give it.
+    """
+    fits: list = [None] * len(draws)
+    jobs = []  # (rep, prior, exceedances, sampler)
+    for rep, draw in enumerate(draws):
+        try:
+            e = draw.exceedances()
+            prior = default_prior(pwm_scale(e)) if cfg.prior is None else cfg.prior
+        except _REP_FAILURES as exc:
+            fits[rep] = exc
+        else:
+            sampler = replace(cfg.sampler, seed=_rep_seed(cfg.seed, rep, n_ctx))
+            jobs.append((rep, prior, e, sampler))
+    if jobs:
+        reps, priors, es, samplers = zip(*jobs)
+        for rep, e, ps in zip(reps, es, sample_posteriors(priors, es, samplers)):
+            fits[rep] = TailFit(e, posterior=ps) if isinstance(ps, PosteriorSample) else ps
+    return fits
+
+
 def _quantiles(values, *probs: float) -> list[float]:
     """Quantiles of ``values`` (``np.median`` at 0.5), NaN when there are none."""
     arr = np.asarray(values)
@@ -425,22 +469,29 @@ def _quantiles(values, *probs: float) -> list[float]:
     return [float(np.median(arr) if p == 0.5 else np.quantile(arr, p)) for p in probs]
 
 
-def _estimated_model(cfg: ExperimentConfig, method: str, draw: _Draw, rep_seed: int):
+def _estimated_model(cfg: ExperimentConfig, method: str, draw: _Draw, bayes_fit):
     """(intermediate model, extreme model, fallback flag) fitted to the top
     ``k`` of one replication's sample.
 
+    The Bayes arm's fit, or its failure, comes from :func:`_bayes_fits`.
     ML falls back to PWM (flagged) so aggregates stay defined.
     """
-    e = draw.exceedances()
-    try:
-        tail = fit_tail(e, method, cfg.prior, replace(cfg.sampler, seed=rep_seed))
-        fell_back = False
-    except _FIT_FAILURES:
-        if method != "ml":
-            raise
-        tail, fell_back = fit_tail(e, "pwm"), True
-    ext_levels = cfg.level_rule.levels_for(e.tau_i, tail.gamma)
-    return tail.at(LevelPair.intermediate(e.tau_i)), tail.at(ext_levels), fell_back
+    fell_back = False
+    if method == "bayes":
+        if isinstance(bayes_fit, Exception):
+            raise bayes_fit
+        tail = bayes_fit
+    else:
+        e = draw.exceedances()
+        try:
+            tail = fit_tail(e, method)
+        except _FIT_FAILURES:
+            if method != "ml":
+                raise
+            tail, fell_back = fit_tail(e, "pwm"), True
+    tau_i = tail.e.tau_i
+    ext_levels = cfg.level_rule.levels_for(tau_i, tail.gamma)
+    return tail.at(LevelPair.intermediate(tau_i)), tail.at(ext_levels), fell_back
 
 
 def _oracle_model(fam: ExactGP, tau_i: float, levels: LevelPair):
@@ -486,7 +537,7 @@ def coverage_experiment(cfg: ExperimentConfig) -> CoverageResult:
         """The true ``p`` quantile of a peak above the ``tau_e`` quantile."""
         return float(fam.quantile(tau_e + p * (1.0 - tau_e)))
 
-    def evaluate(method: str, draw: _Draw, rep_seed: int):
+    def evaluate(method: str, draw: _Draw, bayes_fit):
         if method == "oracle":
             tau_e, fell_back = oracle_levels.tau_e, False
             interval = PredictiveInterval(
@@ -495,7 +546,7 @@ def coverage_experiment(cfg: ExperimentConfig) -> CoverageResult:
                 cfg.alpha,
             )
         else:
-            _, model_ext, fell_back = _estimated_model(cfg, method, draw, rep_seed)
+            _, model_ext, fell_back = _estimated_model(cfg, method, draw, bayes_fit)
             tau_e = model_ext.levels.tau_e
             interval = predictive_interval(model_ext, cfg.alpha)
         covered = interval.contains(peak_quantile(tau_e, draw.u_test))
@@ -538,13 +589,13 @@ def contraction_experiment(cfg: ExperimentConfig) -> list[dict]:
     if not isinstance(fam, ExactGP):
         raise DomainError("contraction experiments need the exact-GP generator")
 
-    def evaluate(method: str, draw: _Draw, rep_seed: int):
+    def evaluate(method: str, draw: _Draw, bayes_fit):
         if method == "oracle":
             tau_i = 1.0 - draw.k / draw.n
             levels = cfg.level_rule.levels_for(tau_i, fam.true_gamma)
             model, fell_back = _oracle_model(fam, tau_i, levels), False
         else:
-            _, model, fell_back = _estimated_model(cfg, method, draw, rep_seed)
+            _, model, fell_back = _estimated_model(cfg, method, draw, bayes_fit)
         t_e_true = float(fam.quantile(model.levels.tau_e))
         excess_params = fam.conditional_excess_params(t_e_true)
         lower = min(model.support_lower(), t_e_true)
@@ -580,13 +631,13 @@ def tail_equivalence_experiment(cfg: ExperimentConfig) -> list[dict]:
         raise DomainError("the oracle arm needs the exact-GP generator")
     tau_star = cfg.level_rule.value
 
-    def evaluate(method: str, draw: _Draw, rep_seed: int):
+    def evaluate(method: str, draw: _Draw, bayes_fit):
         if method == "oracle":
             tau_i = 1.0 - draw.k / draw.n
             levels = LevelPair.intermediate(tau_i)
             model, fell_back = _oracle_model(fam, tau_i, levels), False
         else:
-            model, _, fell_back = _estimated_model(cfg, method, draw, rep_seed)
+            model, _, fell_back = _estimated_model(cfg, method, draw, bayes_fit)
         q_true = float(fam.quantile(1.0 - tau_star * (1.0 - model.levels.tau_i)))
         return tail_equivalence_ratio(model, q_true, tau_star), fell_back
 
@@ -644,8 +695,8 @@ def risk_error_experiment(cfg: ExperimentConfig) -> list[dict]:
             "infinite; risk-error needs a prior supported strictly below 1"
         )
 
-    def evaluate(method: str, draw: _Draw, rep_seed: int):
-        model_int, model_ext, fell_back = _estimated_model(cfg, method, draw, rep_seed)
+    def evaluate(method: str, draw: _Draw, bayes_fit):
+        model_int, model_ext, fell_back = _estimated_model(cfg, method, draw, bayes_fit)
         tau_e = model_ext.levels.tau_e
         var_true = float(fam.quantile(tau_e))
         es_true = true_es(tau_e)
@@ -704,6 +755,7 @@ class TsCoverageConfig:
     ar_intercept: bool = True  # uncentered innovations need the intercept
 
     def __post_init__(self):
+        _check_seed(self.seed, "ts-coverage")
         _check_methods(self.methods, ("ml", "pwm", "bayes"))
 
 
@@ -744,12 +796,8 @@ def ts_coverage_experiment(cfg: TsCoverageConfig) -> list[dict]:
         y_star = cfg.phi * seg[-1] + eps_star
         return int(not interval.contains(y_star)), False
 
-    tallies = _replicate(
-        cfg.methods,
-        cfg.origins,
-        lambda j: y[j * stride : j * stride + cfg.window],
-        evaluate,
-    )
+    windows = [y[j * stride : j * stride + cfg.window] for j in range(cfg.origins)]
+    tallies = _replicate(cfg.methods, windows, evaluate)
     rows: list[dict] = []
     for method in cfg.methods:
         used, violations = len(tallies[method].values), sum(tallies[method].values)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,12 +22,14 @@ from tailcast.bayes import (
     log_prior,
     posterior_summary,
     sample_posterior,
+    sample_posteriors,
 )
 from tailcast.errors import (
     BoundaryWarning,
     DomainError,
     EstimationError,
     PriorError,
+    SamplerError,
     SamplerHealthWarning,
 )
 from tailcast.estimation import exceedances_from_excesses, fit_ml, fit_pwm, pwm_scale
@@ -211,6 +214,12 @@ class TestSampler:
     def test_adapt_interval_must_be_positive(self, adapt_interval):
         with pytest.raises(DomainError):
             SamplerConfig(adapt_interval=adapt_interval)
+
+    @pytest.mark.parametrize("seed", [-1, -(2**40)])
+    def test_seed_must_be_non_negative(self, seed):
+        # numpy would refuse it only when the chain starts
+        with pytest.raises(DomainError, match="seed must be non-negative"):
+            SamplerConfig(seed=seed)
 
     def test_edge_fit_proposal_comes_from_the_fit(self):
         """At an edge fit a central difference would step past gamma = -1/2;
@@ -464,6 +473,133 @@ def test_sampler_matches_reference_loop_exactly(case, monkeypatch):
         assert visits["outside_prior"] > 0
     if withhold_fit:
         assert visits["near_zero_shape"] > 0
+
+
+# lockstep chains cycle through data shapes (the negative ones meet the
+# support gate) and, independently, through priors (the window rejects
+# proposals)
+_LOCKSTEP_SHAPES = (0.5, -0.3, 0.0, 0.2, -0.4)
+_LOCKSTEP_PRIORS = ("window", "custom", "default", "log-uniform")
+_LOCKSTEP_CFG = SamplerConfig(burn_in=430, draws=600, thin=2, adapt_interval=60)
+
+
+def _lockstep_inputs(n_chains, k_of=lambda j: 120, cfg=_LOCKSTEP_CFG):
+    specs, es, cfgs = [], [], []
+    for j in range(n_chains):
+        excesses = make_excesses(_LOCKSTEP_SHAPES[j % 5], 1.0, k_of(j), seed=300 + j)
+        e = exceedances_from_excesses(excesses)
+        specs.append(_chain_prior(_LOCKSTEP_PRIORS[j % 4], e))
+        es.append(e)
+        cfgs.append(replace(cfg, seed=j))
+    return specs, es, cfgs
+
+
+def _run_counted(fn):
+    """``fn()`` and the number of SamplerHealthWarnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn()
+    return out, sum(w.category is SamplerHealthWarning for w in caught)
+
+
+def _spy_on_lockstep(monkeypatch):
+    """The sizes of the chain groups that will run in lockstep."""
+    import tailcast.bayes as bayes
+
+    groups = []
+    real = bayes._lockstep
+
+    def spy(chains):
+        groups.append(len(chains))
+        return real(chains)
+
+    monkeypatch.setattr(bayes, "_lockstep", spy)
+    return groups
+
+
+def _assert_same_chains(specs, es, cfgs, monkeypatch):
+    """sample_posteriors equals sample_posterior chain by chain; returns the
+    sizes of the groups that ran in lockstep."""
+    groups = _spy_on_lockstep(monkeypatch)
+    got, got_warned = _run_counted(lambda: sample_posteriors(specs, es, cfgs))
+    want, want_warned = _run_counted(
+        lambda: [sample_posterior(*args) for args in zip(specs, es, cfgs)]
+    )
+    assert got_warned == want_warned
+    for a, b in zip(got, want, strict=True):
+        assert np.array_equal(a.gammas, b.gammas)
+        assert np.array_equal(a.sigmas, b.sigmas)
+        assert (a.acceptance_rate, a.ess, a.seed) == (b.acceptance_rate, b.ess, b.seed)
+    return sorted(groups)
+
+
+class TestLockstep:
+    """Chains advanced together give each chain's ``sample_posterior`` bits."""
+
+    def test_two_chains_step_for_step(self, monkeypatch):
+        import tailcast.bayes as bayes
+
+        # a window prior that rejects proposals and a custom shape
+        chains = [bayes._start(*args) for args in zip(*_lockstep_inputs(2))]
+        trace_g, trace_ls, accepted = bayes._lockstep(chains)
+        for j, chain in enumerate(chains):
+            want_g, want_ls, want_accepted = bayes._steps(chain)
+            assert trace_g[:, j].tolist() == want_g
+            assert trace_ls[:, j].tolist() == want_ls
+            assert accepted[j] == want_accepted
+        # sample_posteriors keeps so few chains on the scalar loop
+        assert _assert_same_chains(*_lockstep_inputs(2), monkeypatch) == []
+
+    def test_fifty_chains_with_mixed_priors_and_excess_counts(self, monkeypatch):
+        # k = 121 every seventh chain, and two chains at k = 119 (the scalar loop)
+        def k_of(j):
+            return 119 if j in (10, 20) else 121 if j % 7 == 0 else 120
+
+        groups = _assert_same_chains(*_lockstep_inputs(50, k_of), monkeypatch)
+        assert groups == [8, 40]
+
+    def test_default_settings_and_no_burn_in(self, monkeypatch):
+        for cfg in (SamplerConfig(burn_in=1_000, draws=1_500),
+                    SamplerConfig(burn_in=0, draws=800, thin=3)):
+            assert _assert_same_chains(*_lockstep_inputs(4, cfg=cfg), monkeypatch) == [4]
+
+    def test_near_zero_shape_branch(self, monkeypatch):
+        import tailcast.bayes as bayes
+
+        # a wider zero band makes the closed-form branch common
+        monkeypatch.setattr(bayes, "GAMMA_ZERO_TOL", 0.02)
+        es = [exceedances_from_excesses(make_excesses(0.0, 1.0, 150, seed=j)) for j in range(4)]
+        specs = [PriorSpec(UniformWindowShape(-0.45, 2.0), LogUniformScale())] * 4
+        cfgs = [SamplerConfig(seed=j, burn_in=300, draws=800) for j in range(4)]
+        assert _assert_same_chains(specs, es, cfgs, monkeypatch) == [4]
+        ps = sample_posterior(specs[0], es[0], cfgs[0])
+        assert np.any(np.abs(ps.gammas) < 0.02)
+
+    def test_failing_chains_fail_alone(self, monkeypatch):
+        specs, es, cfgs = _lockstep_inputs(5, cfg=SamplerConfig(burn_in=200, draws=400))
+        heavy = exceedances_from_excesses(make_excesses(0.5, 1.0, 120, seed=9))
+        # no start: a window below every point the data admit
+        specs[1], es[1] = PriorSpec(UniformWindowShape(-0.5, -0.45), LogUniformScale()), heavy
+        # every proposal leaves a window 1e-12 wide
+        specs[3], es[3] = PriorSpec(UniformWindowShape(0.3, 0.3 + 1e-12), LogUniformScale()), heavy
+        es.append(exceedances_from_excesses([1.0]))  # too few excesses
+        specs.append(specs[0])
+        cfgs.append(cfgs[0])
+        groups = _spy_on_lockstep(monkeypatch)
+        out = sample_posteriors(specs, es, cfgs)
+        assert groups == [4]  # chains 0, 2, 3 and 4
+        for j, (cls, match) in {
+            1: (SamplerError, "starting point"),
+            3: (SamplerError, "rejected every proposal"),
+            5: (DomainError, "at least 2 excesses"),
+        }.items():
+            assert type(out[j]) is cls and match in str(out[j])
+            with pytest.raises(cls, match=match):
+                sample_posterior(specs[j], es[j], cfgs[j])
+        for j in (0, 2, 4):
+            want = sample_posterior(specs[j], es[j], cfgs[j])
+            assert np.array_equal(out[j].gammas, want.gammas)
+            assert np.array_equal(out[j].sigmas, want.sigmas)
 
 
 class TestPosteriorSummary:

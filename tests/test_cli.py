@@ -127,6 +127,20 @@ class TestFit:
         assert code == 3
         assert "out of range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_negative_seed_exit_3(self, exp_csv, tmp_path, capsys, where):
+        argv = ["fit", "--input", exp_csv, "--k", "500", "--method", "bayes"]
+        if where == "flag":
+            argv += ["--seed", "-1"]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"sampler": {"seed": -5}}))
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "seed must be non-negative" in err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
     def test_prior_with_no_mass_above_the_shape_bound_exit_3(self, exp_csv, tmp_path,
                                                             capsys):
         # the truncation mass of N(-40, 1) above -1/2 underflows to 0
@@ -367,6 +381,17 @@ class TestSimulate:
         }))
         assert main(["simulate", "--config", str(cfg)]) == 3
         assert "bogus_knob" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("experiment", ["coverage", "ts-coverage"])
+    def test_negative_seed_exit_3(self, tmp_path, capsys, experiment):
+        cfg = tmp_path / "sim.json"
+        cfg.write_text(json.dumps({
+            "experiment": experiment, "generator": {"family": "pareto", "alpha": 2.0},
+            **self.SMALL, "seed": -3,
+        }))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 3
+        assert "seed must be non-negative" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
 
     def test_unknown_family_rejected(self, tmp_path):
         cfg = tmp_path / "fam.json"

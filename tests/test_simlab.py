@@ -1,5 +1,6 @@
 import inspect
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -8,7 +9,13 @@ from scipy.stats import beta as beta_dist
 from scipy.stats import kstest
 
 import tailcast.simlab as simlab
-from tailcast.bayes import LogUniformScale, PriorSpec, SamplerConfig, UniformWindowShape
+from tailcast.bayes import (
+    LogUniformScale,
+    PriorSpec,
+    SamplerConfig,
+    UniformWindowShape,
+    sample_posterior,
+)
 from tailcast.errors import (
     DomainError,
     EstimationError,
@@ -126,6 +133,16 @@ class TestRules:
                 k_rule=KRule(kind="fixed", k=10),
                 replications=10,  # below the floor
             )
+
+    def test_negative_seeds_refused_at_construction(self):
+        # numpy would refuse them only in the first replication
+        for build in (
+            lambda: Generator(Pareto(2.0), seed=-1),
+            lambda: small_cfg(seed=-3),
+            lambda: TsCoverageConfig(phi=0.6, innovations=Pareto(2.0), seed=-2),
+        ):
+            with pytest.raises(DomainError, match="seed must be non-negative"):
+                build()
 
 
 def small_cfg(**kwargs):
@@ -477,3 +494,53 @@ class TestTopOnlyDraw:
                 assert {w.filename for w in ties} == {simlab.__file__}
                 assert {w.lineno for w in ties} <= set(range(first, first + len(lines)))
         assert counts[0] == counts[1] > 0 and counts[0] % 2 == 0
+
+
+class TestBayesStage:
+    """The Bayes arm's chains run in lockstep, with the rows and warnings of
+    one chain at a time."""
+
+    FAST = SamplerConfig(burn_in=300, draws=1_000)
+
+    @staticmethod
+    def one_chain_at_a_time(specs, es, cfgs):
+        """``sample_posteriors`` as a loop over ``sample_posterior``."""
+        out = []
+        for args in zip(specs, es, cfgs):
+            try:
+                out.append(sample_posterior(*args))
+            except (DomainError, SamplerError) as exc:
+                out.append(exc)
+        return out
+
+    @pytest.mark.parametrize("run,kwargs", [
+        (lambda c: coverage_experiment(c).rows(), dict(methods=("ml", "bayes"), sampler=FAST)),
+        # ties drop excesses, so the chains' excess counts differ
+        (tail_equivalence_experiment, dict(
+            generator=Generator(TIED), n=1_000, k_rule=KRule("fixed", k=63),
+            methods=("bayes",), sampler=FAST)),
+        (risk_error_experiment, dict(
+            generator=Generator(Pareto(3.0), seed=2), methods=("bayes",),
+            prior=PriorSpec(UniformWindowShape(-0.49, 0.99), LogUniformScale()),
+            sampler=SamplerConfig(burn_in=200, draws=500, thin=3, adapt_interval=90))),
+    ])
+    def test_lockstep_rows_equal_one_chain_at_a_time(self, monkeypatch, run, kwargs):
+        cfg = small_cfg(**{"replications": 50, **kwargs})
+        rows, counts = [], []
+        for sampler in (None, self.one_chain_at_a_time):
+            with monkeypatch.context() as m, warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                if sampler:
+                    m.setattr(simlab, "sample_posteriors", sampler)
+                rows.append(rows_to_csv_text(run(cfg)))
+            counts.append(Counter(w.category.__name__ for w in caught))
+        assert rows[0] == rows[1]
+        assert counts[0] == counts[1]
+
+    def test_chain_that_cannot_start_fails_its_replication(self):
+        # no point of a window below -0.45 admits GP(0.25) excesses
+        prior = PriorSpec(UniformWindowShape(-0.5, -0.45), LogUniformScale())
+        cfg = small_cfg(methods=("ml", "bayes"), prior=prior, sampler=self.FAST)
+        res = coverage_experiment(cfg)
+        assert res.stats["bayes"].failure_reasons == f"SamplerError:{cfg.replications}"
+        assert res.stats["ml"].n_used == cfg.replications
