@@ -43,10 +43,6 @@ from .gpd import (
     gp_pdf,
     gp_quantile,
     gp_sample,
-    predictive_cdf,
-    predictive_mean,
-    predictive_pdf,
-    predictive_quantile,
     threshold_shift,
 )
 from .predict import (

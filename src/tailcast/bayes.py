@@ -15,11 +15,11 @@ deterministic given the seed.
 
 :func:`sample_posteriors` runs many chains in lockstep, one step of all of
 them at a time.  Each chain keeps its own generator, start, proposal,
-adaptation and trace, and its proposals, gates, priors and acceptances
-stay on Python floats; only the log-likelihood sums of chains with the
-same excess count are one (chains x k) block, whose rows equal the
-one-chain sums bit for bit.  So every chain gives
-:func:`sample_posterior`'s draws, at less dispatch cost per step.
+adaptation and trace, on Python floats; only the log1p sums of chains with
+the same excess count are one (chains x k) block, whose rows equal the
+one-chain sums bit for bit and go to :func:`~tailcast.gpd.gp_loglik`, the
+likelihood both loops use.  So every chain gives :func:`sample_posterior`'s
+draws, at less dispatch cost per step.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .errors import (
     SamplerHealthWarning,
 )
 from .estimation import ExceedanceSet, fit_ml, _negloglik_grad
-from .gpd import GAMMA_ZERO_TOL, GpParams, gp_logpdf_vec
+from .gpd import GpParams, gp_loglik
 
 __all__ = [
     "TruncatedNormalShape",
@@ -303,8 +303,7 @@ def log_posterior_unnorm(spec: PriorSpec, e: ExceedanceSet, theta) -> float:
     lp = log_prior(spec, theta)
     if lp == -math.inf:
         return -math.inf
-    ll = float(np.sum(gp_logpdf_vec(gamma, sigma, e.excesses)))
-    return ll + lp
+    return gp_loglik(e.excesses)(gamma, math.log(sigma)) + lp
 
 
 @dataclass(frozen=True)
@@ -399,33 +398,16 @@ def _initial_proposal_cov(e, fit):
 
 def _log_posterior(spec: PriorSpec, e: ExceedanceSet):
     """``logpost(gamma, log_sigma)``: the chain's target on Python floats."""
-    x = e.excesses
-    k = x.size
-    x_sum = float(np.sum(x))
-    x_max = float(x[-1])
+    loglik = gp_loglik(e.excesses)
     shape_logpdf = spec.shape.log_density
     scale_logpdf = spec.scale.log_density
-    buf = np.empty_like(x)
 
     def logpost(gamma: float, log_sigma: float) -> float:
-        if gamma <= _SHAPE_LOWER:
-            return -math.inf
-        sigma = math.exp(log_sigma)
-        if gamma < 0.0 and x_max * (-gamma) >= sigma:
-            return -math.inf
-        lp = shape_logpdf(gamma) + scale_logpdf(sigma)
+        lp = shape_logpdf(gamma) + scale_logpdf(math.exp(log_sigma))
         if lp == -math.inf:
             return -math.inf
-        if abs(gamma) < GAMMA_ZERO_TOL:
-            ll = -k * log_sigma - x_sum / sigma
-        else:
-            # the pairwise sum np.sum takes, without a temporary per call
-            np.multiply(x, gamma / sigma, out=buf)
-            ll = -k * log_sigma - (1.0 + 1.0 / gamma) * float(
-                np.add.reduce(np.log1p(buf, out=buf))
-            )
         # + log_sigma: Jacobian of the log-scale reparameterization
-        return ll + lp + log_sigma
+        return loglik(gamma, log_sigma) + lp + log_sigma
 
     return logpost
 
@@ -516,17 +498,17 @@ def _steps(chain: _Chain):
 
 def _lockstep(chains: list[_Chain]):
     """The Metropolis loops of chains with the same settings and excess count,
-    one step at a time: per chain, the proposal, the gates, the prior and the
-    acceptance are :func:`_steps`'s on Python floats, and the log-likelihood
-    sums of every chain are one (chains x k) block, each row of whose
-    ``add.reduce`` equals the 1-D sum bit for bit.  Returns the (steps x
-    chains) traces of gamma and log sigma and the accepted moves per chain.
+    one step at a time: per chain, the proposal, the prior and the
+    acceptance are :func:`_steps`'s on Python floats, and the log1p sums of
+    every chain are one (chains x k) block, each row of whose ``add.reduce``
+    equals the 1-D sum bit for bit; each chain's likelihood combines its
+    row in :func:`~tailcast.gpd.gp_loglik`.  Returns the (steps x chains)
+    traces of gamma and log sigma and the accepted moves per chain.
     """
     cfg = chains[0].cfg
     burn_in, every, total = cfg.burn_in, cfg.adapt_interval, chains[0].total
     n = len(chains)
     x = np.stack([c.e.excesses for c in chains])
-    k = x.shape[1]
     buf = np.empty_like(x)
     coef = np.empty((n, 1))
     z0, z1, log_u = (np.empty((total, n)) for _ in range(3))
@@ -538,39 +520,34 @@ def _lockstep(chains: list[_Chain]):
     ls_cur = [c.start[1] for c in chains]
     lp_cur = [c.start[2] for c in chains]
     chol = [c.chol for c in chains]
-    consts = [
-        (float(c.e.excesses[-1]), float(np.sum(c.e.excesses)),
-         c.spec.shape.log_density, c.spec.scale.log_density)
-        for c in chains
-    ]
+    logliks = [gp_loglik(c.e.excesses) for c in chains]
+    priors = [(c.spec.shape.log_density, c.spec.scale.log_density) for c in chains]
     accepted = [0] * n
     neg_inf = -math.inf
 
     for i in range(total):
-        props = []  # (gamma, log sigma, log posterior or its prior part, gamma/sigma)
-        for g, ls, (l00, l10, l11), za, zb, (x_max, x_sum, shape_lp, scale_lp) in zip(
-            g_cur, ls_cur, chol, z0[i].tolist(), z1[i].tolist(), consts
+        props = []  # (gamma, log sigma, log prior)
+        ratios = []  # gamma/sigma, the row's coefficient; 0 outside the prior
+        for g, ls, (l00, l10, l11), za, zb, (shape_lp, scale_lp) in zip(
+            g_cur, ls_cur, chol, z0[i].tolist(), z1[i].tolist(), priors
         ):
             g += l00 * za
             ls += l10 * za + l11 * zb
-            lp, ratio = neg_inf, None
-            if g > _SHAPE_LOWER:
-                sigma = math.exp(ls)
-                if not (g < 0.0 and x_max * (-g) >= sigma):
-                    lp = shape_lp(g) + scale_lp(sigma)
-                    if lp != neg_inf:
-                        if abs(g) < GAMMA_ZERO_TOL:
-                            lp = -k * ls - x_sum / sigma + lp + ls
-                        else:
-                            ratio = g / sigma
-            props.append((g, ls, lp, ratio))
-        coef[:, 0] = [0.0 if p[3] is None else p[3] for p in props]
+            sigma = math.exp(ls)
+            lp = shape_lp(g) + scale_lp(sigma)
+            props.append((g, ls, lp))
+            ratios.append(0.0 if lp == neg_inf else g / sigma)
+        coef[:, 0] = ratios
         np.multiply(x, coef, out=buf)
-        sums = np.add.reduce(np.log1p(buf, out=buf), axis=1).tolist()
+        # a row past its endpoint holds -inf or nan, and gp_loglik rejects it
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sums = np.add.reduce(np.log1p(buf, out=buf), axis=1).tolist()
         post = i >= burn_in
-        for j, ((g, ls, lp, ratio), s, lu) in enumerate(zip(props, sums, log_u[i].tolist())):
-            if ratio is not None:
-                lp = -k * ls - (1.0 + 1.0 / g) * s + lp + ls
+        for j, ((g, ls, lp), s, lu, loglik) in enumerate(
+            zip(props, sums, log_u[i].tolist(), logliks)
+        ):
+            if lp != neg_inf:
+                lp = loglik(g, ls, s) + lp + ls
             if lp - lp_cur[j] > lu:
                 g_cur[j], ls_cur[j], lp_cur[j] = g, ls, lp
                 accepted[j] += post

@@ -21,7 +21,7 @@ from .errors import (
     EstimationError,
     TieWarning,
 )
-from .gpd import GAMMA_ZERO_TOL, GpParams
+from .gpd import GpParams, gp_loglik
 from .roots import brentq
 
 __all__ = [
@@ -42,6 +42,14 @@ __all__ = [
 _SHAPE_LOWER = -0.5
 _BOUNDARY_MARGIN = 5e-3
 _GRAD_TOL = 1e-6
+# Below this |gamma| max(x / sigma), the first form of `_negloglik_grad`'s
+# shape component loses its digits to cancellation: against 40-digit sums on
+# exponential samples (k = 50 to 2,000) its relative error reached 7e-12 at
+# 0.05, 5e-11 at 0.01 and 2e-7 at 1e-4.  There it comes from the series
+#   psi(z) = sum_j (-1)^(j+1) (j+1)/(j+2) z^j,   psi(0) = -1/2,
+# whose 14 terms (in Horner order here) leave under 1e-18 at |z| < 0.05
+_PSI_BAND = 0.05
+_PSI_SERIES = [(-1) ** (j + 1) * (j + 1) / (j + 2) for j in reversed(range(14))]
 # `_profile_fit`'s 37 data-free grid points in t: toward the pole at -1, toward 0, 0
 _T_GRID = np.concatenate(
     [-1.0 + np.geomspace(1e-15, 0.25, 24), -np.geomspace(0.5, 1e-6, 12), [0.0]]
@@ -197,19 +205,19 @@ def gp_negloglik(theta, excesses: np.ndarray) -> float:
     gamma, log_sigma = float(theta[0]), float(theta[1])
     if not (math.isfinite(gamma) and math.isfinite(log_sigma)):
         return math.inf
-    if gamma <= _SHAPE_LOWER:
-        return math.inf
-    sigma = math.exp(log_sigma)
-    if gamma < 0.0 and excesses[-1] * (-gamma) >= sigma:
-        return math.inf
-    if abs(gamma) < GAMMA_ZERO_TOL:
-        return log_sigma + _mean(excesses) / sigma
-    z = gamma * excesses / sigma
-    return log_sigma + (1.0 + 1.0 / gamma) * _mean(np.log1p(z))
+    return -gp_loglik(excesses)(gamma, log_sigma) / excesses.size
 
 
 def _negloglik_grad(theta, excesses: np.ndarray) -> np.ndarray:
-    """Analytic gradient of :func:`gp_negloglik` in ``(gamma, log sigma)``."""
+    """Analytic gradient of :func:`gp_negloglik` in ``(gamma, log sigma)``.
+
+    With ``u = x / sigma`` and ``w = 1 + gamma u``, the shape component is
+    ``-mean(log w) / gamma^2 + (1 + 1/gamma) mean(u/w)``, two terms of size
+    mean(u)/gamma whose difference cancels.  Where ``|gamma| max(u)`` is
+    below ``_PSI_BAND`` it is taken instead as ``mean(u/w) + mean(u^2
+    psi(gamma u))``, with ``psi(z) = (z/(1+z) - log1p z) / z^2`` from its
+    series; elsewhere the first form keeps its digits.
+    """
     gamma, log_sigma = float(theta[0]), float(theta[1])
     sigma = math.exp(log_sigma)
     if gamma <= _SHAPE_LOWER or (
@@ -217,18 +225,16 @@ def _negloglik_grad(theta, excesses: np.ndarray) -> np.ndarray:
     ):
         return np.array([math.nan, math.nan])
     u = excesses / sigma
-    if abs(gamma) < GAMMA_ZERO_TOL:
-        mean_u = _mean(u)
-        # limits as gamma -> 0 of the general expressions below
-        d_gamma = mean_u - _mean(u * u) / 2.0
-        d_logs = 1.0 - mean_u
-        return np.array([d_gamma, d_logs])
     w = 1.0 + gamma * u
-    log_w = np.log(w)
-    ratio = u / w
-    mean_log_w = _mean(log_w)
-    mean_ratio = _mean(ratio)
-    d_gamma = -mean_log_w / gamma**2 + (1.0 + 1.0 / gamma) * mean_ratio
+    mean_ratio = _mean(u / w)
+    if abs(gamma) * float(u[-1]) < _PSI_BAND:
+        z = gamma * u
+        psi = 0.0
+        for c in _PSI_SERIES:
+            psi = psi * z + c
+        d_gamma = mean_ratio + _mean(u * u * psi)
+    else:
+        d_gamma = -_mean(np.log(w)) / gamma**2 + (1.0 + 1.0 / gamma) * mean_ratio
     d_logs = 1.0 - (1.0 + gamma) * mean_ratio
     return np.array([d_gamma, d_logs])
 
@@ -290,7 +296,6 @@ def fit_ml(e: ExceedanceSet) -> GpFit:
     x_max = float(x[-1])
     gamma, scale = _profile_fit(x / x_max)
     best = np.array([gamma, math.log(scale * x_max)])
-    best_val = gp_negloglik(best, x)
 
     grad_norm = float(np.linalg.norm(_negloglik_grad(best, x)))
     gamma_hat = float(best[0])
@@ -308,7 +313,7 @@ def fit_ml(e: ExceedanceSet) -> GpFit:
             f"ML did not converge: scaled gradient norm {grad_norm:.3e}",
             best=(gamma_hat, sigma_hat),
         )
-    loglik = -best_val * x.size
+    loglik = gp_loglik(x)(gamma_hat, float(best[1]))
     return GpFit(
         params=GpParams(gamma_hat, sigma_hat),
         method="ml",
@@ -397,10 +402,7 @@ def fit_hill(s: SortedSample, k: int) -> float:
 
 def endpoint_estimate(fit: GpFit, threshold: float) -> float:
     """Estimated right endpoint ``threshold - sigma/gamma``; +inf unless gamma < 0."""
-    gamma = fit.params.gamma
-    if gamma >= 0.0:
-        return math.inf
-    return threshold - fit.params.sigma / gamma
+    return threshold + fit.params.upper
 
 
 def stability_trace(s: SortedSample, ks, method: str = "ml"):

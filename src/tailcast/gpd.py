@@ -1,4 +1,4 @@
-"""Generalized Pareto family and the predictive transform for future peaks.
+"""Generalized Pareto family, its likelihood, and the predictive transform for future peaks.
 
 Everything here is a pure function of immutable inputs.  The two-parameter
 GP distribution ``H(x) = 1 - (1 + g*x/s)**(-1/g)`` models excesses over a
@@ -6,30 +6,27 @@ high threshold; its threshold-stability property (an excess over a higher
 threshold is again GP with scale ``s + g*u``) is what lets predictions be
 pushed from an intermediate quantile level deep into the tail.
 
-The predictive law of a peak above the extreme level is evaluated through
-the affine representation
+The predictive law of a peak above the extreme level is the affine map
 
     Y = t + s*(r**(-g) - 1)/g + r**(-g) * U,     U ~ GP(g, s),
 
 where ``t`` is the intermediate threshold and ``r`` is the tail ratio
-(extreme tail mass over intermediate tail mass).  This is algebraically
-identical to transforming the GP argument directly but is numerically
-stable and yields closed-form quantiles and means.
+(extreme tail mass over intermediate tail mass).  :func:`shift_scale` gives
+its shift and scale, which ``predict`` averages over one draw (a point fit)
+or many (a posterior); :func:`gp_loglik` is the one GP log-likelihood.
+``GAMMA_ZERO_TOL``, the band where these formulas take their limit as the
+shape goes to 0, is used in this module only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    BeyondEndpointError,
-    DomainError,
-    InfiniteMeanError,
-    UnboundedQuantileError,
-)
+from .errors import BeyondEndpointError, DomainError, UnboundedQuantileError
 
 __all__ = [
     "GAMMA_ZERO_TOL",
@@ -40,12 +37,9 @@ __all__ = [
     "gp_pdf",
     "gp_quantile",
     "gp_sample",
+    "gp_loglik",
     "threshold_shift",
-    "predictive_cdf",
-    "predictive_pdf",
-    "predictive_quantile",
-    "predictive_mean",
-    "predictive_shift_scale",
+    "shift_scale",
     "extrapolation_weight",
 ]
 
@@ -167,7 +161,7 @@ def gp_cdf_vec(gamma, sigma, x):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         base = 1.0 + g * x / sigma
         out = -np.expm1(-np.log(base) / g)
-        if np.any(zero):
+        if zero.any():
             out = np.where(zero, -np.expm1(-x / sigma), out)
     # past the endpoint (base <= 0, only reachable when gamma < 0) the cdf is 1
     out = np.where(x > 0.0, np.where(zero | (base > 0.0), out, 1.0), 0.0)
@@ -189,7 +183,7 @@ def gp_pdf_vec(gamma, sigma, x):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         base = 1.0 + g * x / sigma
         out = np.exp(-(1.0 / g + 1.0) * np.log(base)) / sigma
-        if np.any(zero):
+        if zero.any():
             out = np.where(zero, np.exp(-x / sigma) / sigma, out)
     return np.where((x >= 0.0) & (zero | (base > 0.0)), out, 0.0)
 
@@ -200,9 +194,9 @@ def gp_quantile_vec(gamma, sigma, prob):
     gamma = np.asarray(gamma, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     prob = np.asarray(prob, dtype=float)
-    if np.any((prob < 0.0) | (prob > 1.0)):
+    if ((prob < 0.0) | (prob > 1.0)).any():
         raise DomainError("quantile probability must lie in [0, 1]")
-    if np.any((prob == 1.0) & (gamma > -GAMMA_ZERO_TOL)):
+    if ((prob == 1.0) & (gamma > -GAMMA_ZERO_TOL)).any():
         raise UnboundedQuantileError(
             "quantile at probability 1 is infinite for nonnegative shape"
         )
@@ -223,18 +217,36 @@ def gp_pdf(p: GpParams, x: float) -> float:
     return _as_float(gp_pdf_vec(p.gamma, p.sigma, x), x)
 
 
-def gp_logpdf_vec(gamma, sigma, x):
-    """Log density; -inf outside the support.  Used by likelihood code.
-    Evaluated on whole arrays and masked afterwards, like ``gp_pdf_vec``."""
-    gamma = np.asarray(gamma, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    x = np.asarray(x, dtype=float)
-    zero = _near_zero(gamma)
-    g = np.where(zero, 1.0, gamma)  # near-zero shapes take the exponential branch
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        base = 1.0 + g * x / sigma
-        out = np.where(zero, -x / sigma, -(1.0 / g + 1.0) * np.log(base)) - np.log(sigma)
-    return np.where((x >= 0.0) & (zero | (base > 0.0)), out, -np.inf)
+def gp_loglik(x: np.ndarray) -> Callable[..., float]:
+    """The GP log-likelihood of the ascending excesses ``x``, as a function
+    ``loglik(gamma, log_sigma, log1p_sum=None)`` on Python floats.
+
+    It is ``-k log sigma - (1 + 1/gamma) S`` with ``S = sum(log1p(x * (gamma
+    / sigma)))``, its limit ``-k log sigma - sum(x) / sigma`` for near-zero
+    shapes, and -inf for shapes at or below -1/2 or an excess at or past the
+    endpoint.  A caller holding ``S`` already (a lockstep block's row)
+    passes it as ``log1p_sum``.  ``S`` is formed in one buffer per ``x``,
+    without a temporary per call: not for concurrent use.
+    """
+    k = x.size
+    x_sum = float(np.add.reduce(x))
+    x_max = float(x[-1])
+    buf = np.empty_like(x)
+
+    def loglik(gamma: float, log_sigma: float, log1p_sum: float | None = None) -> float:
+        if gamma <= -0.5:
+            return -math.inf
+        sigma = math.exp(log_sigma)
+        if gamma < 0.0 and x_max * (-gamma) >= sigma:
+            return -math.inf
+        if abs(gamma) < GAMMA_ZERO_TOL:
+            return -k * log_sigma - x_sum / sigma
+        if log1p_sum is None:
+            np.multiply(x, gamma / sigma, out=buf)
+            log1p_sum = float(np.add.reduce(np.log1p(buf, out=buf)))
+        return -k * log_sigma - (1.0 + 1.0 / gamma) * log1p_sum
+
+    return loglik
 
 
 def gp_quantile(p: GpParams, prob: float) -> float:
@@ -263,56 +275,29 @@ def threshold_shift(p: GpParams, u: float) -> GpParams:
     return GpParams(p.gamma, new_sigma)
 
 
-def predictive_shift_scale(p: GpParams, levels: LevelPair) -> tuple[float, float]:
-    """Location/scale pair (m, s) of the affine predictive representation.
+def shift_scale(gamma, sigma, tau_star: float):
+    """Shift and scale of the affine predictive map ``Y = t + shift + scale*U``.
 
-    The peak above the extreme threshold is distributed as
-    ``t + m + s*U`` with ``U ~ GP(p)``; ``m = 0`` and ``s = 1`` when
-    ``tau_star == 1``, reducing the predictive law to the plain excess law.
+    ``shift = sigma*(r**-gamma - 1)/gamma`` and ``scale = r**-gamma`` at the
+    tail ratio ``r = tau_star``; near-zero shapes take the limit
+    ``(-sigma*log r, 1)``, and ``r = 1`` gives (0, 1), the plain excess law.
+    Floats give floats and arrays arrays, element by element the same bits:
+    both take numpy's array loop for the power, not Python's ``**`` nor
+    numpy's scalar shortcuts (a square root for shape -1/2, a reciprocal for
+    shape 1), which round differently.
     """
-    r = levels.tau_star
-    if r == 1.0:
-        return 0.0, 1.0
-    g = p.gamma
-    if abs(g) < GAMMA_ZERO_TOL:
-        return -p.sigma * math.log(r), 1.0
-    s = r ** (-g)
-    m = p.sigma * (s - 1.0) / g
-    return m, s
-
-
-def predictive_cdf(p: GpParams, t_i: float, levels: LevelPair, y) -> float:
-    """Cdf of a future peak above the extreme threshold, given params and levels.
-
-    Evaluable for every real ``y`` (0 below the support, 1 past the endpoint).
-    """
-    m, s = predictive_shift_scale(p, levels)
-    z = (np.asarray(y, dtype=float) - t_i - m) / s
-    return _as_float(gp_cdf_vec(p.gamma, p.sigma, z), y)
-
-
-def predictive_pdf(p: GpParams, t_i: float, levels: LevelPair, y) -> float:
-    """Density of the predictive law; the exact derivative of ``predictive_cdf``."""
-    m, s = predictive_shift_scale(p, levels)
-    z = (np.asarray(y, dtype=float) - t_i - m) / s
-    return _as_float(gp_pdf_vec(p.gamma, p.sigma, z) / s, y)
-
-
-def predictive_quantile(p: GpParams, t_i: float, levels: LevelPair, prob) -> float:
-    """Quantile of the predictive law; closed form via the affine representation."""
-    m, s = predictive_shift_scale(p, levels)
-    q = gp_quantile_vec(p.gamma, p.sigma, prob)
-    return _as_float(t_i + m + s * q, prob)
-
-
-def predictive_mean(p: GpParams, t_i: float, levels: LevelPair) -> float:
-    """Expected value of the predictive law; requires shape < 1."""
-    if p.gamma >= 1.0:
-        raise InfiniteMeanError(
-            f"predictive mean is infinite for shape {p.gamma} >= 1"
-        )
-    m, s = predictive_shift_scale(p, levels)
-    return t_i + m + s * p.sigma / (1.0 - p.gamma)
+    g = np.atleast_1d(np.asarray(gamma, dtype=float))
+    s = np.asarray(sigma, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a shape of exactly 0
+        scale = np.power(tau_star, -g)
+        shift = s * (scale - 1.0) / g
+    zero = _near_zero(g)
+    if zero.any():
+        scale = np.where(zero, 1.0, scale)
+        shift = np.where(zero, -s * math.log(tau_star), shift)
+    if np.ndim(gamma) == 0:
+        return float(shift[0]), float(scale[0])
+    return shift, scale
 
 
 def extrapolation_weight(gamma: float, x: float) -> float:

@@ -1,12 +1,14 @@
 """Frequentist and Bayesian predictive laws for future peaks.
 
 A predictive model is an evaluable law (cdf / pdf / quantile / mean) for
-the next observation given that it exceeds an extreme threshold.  The
-frequentist kind is a single GP transform with plugged-in estimates and the
-sample threshold; the Bayesian kind is an equal-weight mixture of the same
-transform over posterior draws.  Extreme levels are chosen either directly,
-through the endpoint-gap factor ``c`` (short tails), or through a return
-period.
+the next observation given that it exceeds an extreme threshold.  Both
+kinds are one law, :class:`MixturePredictive`: an equal-weight mixture of
+the affine GP map (:func:`~tailcast.gpd.shift_scale`) over (shape, scale)
+draws, anchored at the sample threshold.  The Bayesian kind mixes the
+posterior draws; the frequentist kind is the mixture of one draw, the
+plugged-in estimate, whose quantile the mixture gives in closed form.
+Extreme levels are chosen either directly, through the endpoint-gap factor
+``c`` (short tails), or through a return period.
 """
 
 from __future__ import annotations
@@ -25,23 +27,12 @@ from .bayes import (
 )
 from .errors import DomainError, InfiniteMeanError, LevelRuleError, NumericError
 from .estimation import ExceedanceSet, GpFit, fit_ml, fit_pwm, pwm_scale
-from .gpd import (
-    GAMMA_ZERO_TOL,
-    GpParams,
-    LevelPair,
-    gp_cdf_vec,
-    gp_pdf_vec,
-    gp_quantile_vec,
-    predictive_cdf,
-    predictive_mean,
-    predictive_pdf,
-    predictive_quantile,
-    predictive_shift_scale,
-)
+from .gpd import GpParams, LevelPair, gp_cdf_vec, gp_pdf_vec, gp_quantile_vec, shift_scale
 from .roots import brentq
 
 __all__ = [
     "PredictiveModel",
+    "MixturePredictive",
     "FrequentistPredictive",
     "BayesianPredictive",
     "PredictiveInterval",
@@ -58,7 +49,7 @@ __all__ = [
     "prediction_grid",
 ]
 
-_CHUNK = 64  # rows per block when evaluating a mixture on an array of points
+_BLOCK = 64 * 2_500  # (points x draws) values per block when a mixture evaluates an array
 
 
 class PredictiveModel:
@@ -92,87 +83,32 @@ class PredictiveModel:
         raise NotImplementedError
 
 
-class FrequentistPredictive(PredictiveModel):
-    """Plug-in GP predictive law anchored at the sample threshold."""
+class MixturePredictive(PredictiveModel):
+    """Equal-weight mixture of the affine predictive map over (shape, scale)
+    draws, anchored at ``threshold``.  The kinds below set ``kind`` and
+    ``mass_check_tol``."""
 
-    kind = "frequentist"
-    mass_check_tol = 1e-8
-
-    def __init__(self, params: GpParams, threshold: float, levels: LevelPair):
-        self.params = params
+    def __init__(self, gammas, sigmas, threshold: float, levels: LevelPair):
+        self._g = np.asarray(gammas, dtype=float)
+        self._s = np.asarray(sigmas, dtype=float)
         self.threshold = float(threshold)
         self.levels = levels
-
-    def cdf(self, y):
-        return predictive_cdf(self.params, self.threshold, self.levels, y)
-
-    def pdf(self, y):
-        return predictive_pdf(self.params, self.threshold, self.levels, y)
-
-    def quantile(self, prob):
-        return predictive_quantile(self.params, self.threshold, self.levels, prob)
-
-    def mean(self) -> float:
-        return predictive_mean(self.params, self.threshold, self.levels)
-
-    def support_lower(self) -> float:
-        m, _ = predictive_shift_scale(self.params, self.levels)
-        return self.threshold + m
-
-    def support_upper(self) -> float:
-        if self.params.gamma >= 0.0:
-            return math.inf
-        m, s = predictive_shift_scale(self.params, self.levels)
-        return self.threshold + m + s * self.params.upper
-
-    def at(self, levels: LevelPair) -> FrequentistPredictive:
-        return FrequentistPredictive(self.params, self.threshold, levels)
-
-
-class BayesianPredictive(PredictiveModel):
-    """Equal-weight mixture of per-draw predictive transforms."""
-
-    kind = "bayesian"
-    mass_check_tol = 1e-4
-
-    def __init__(self, ps: PosteriorSample, threshold: float, levels: LevelPair):
-        if ps.m < 100:
-            raise DomainError(
-                f"mixture predictive needs at least 100 draws, have {ps.m}"
-            )
-        self.draws = ps
-        self.threshold = float(threshold)
-        self.levels = levels
-        self._g = ps.gammas
-        self._s = ps.sigmas
-        r = levels.tau_star
-        if r == 1.0:
-            self._shift = np.zeros_like(self._g)
-            self._scale = np.ones_like(self._g)
-        else:
-            near0 = np.abs(self._g) < GAMMA_ZERO_TOL
-            scale = np.where(near0, 1.0, r ** -self._g)
-            shift = np.where(
-                near0,
-                -self._s * math.log(r),
-                self._s * (scale - 1.0) / np.where(near0, 1.0, self._g),
-            )
-            self._shift = shift
-            self._scale = scale
+        self._shift, self._scale = shift_scale(self._g, self._s, levels.tau_star)
+        # each draw's support onset, rounded once: the draw whose support
+        # starts at support_lower() sits at z = 0 there, not just below it
+        self._onset = self.threshold + self._shift
 
     def _mix(self, y, kernel):
         y_arr = np.asarray(y, dtype=float)
-        scalar = y_arr.ndim == 0
-        pts = np.atleast_1d(y_arr)
-        out = np.empty(pts.shape, dtype=float)
-        # onsets rounded as support_lower() rounds them, so that the draw
-        # whose support starts there sits at z = 0 and not just below it
-        onset = self.threshold + self._shift
-        for start in range(0, pts.size, _CHUNK):
-            block = pts[start : start + _CHUNK, None]
-            z = (block - onset) / self._scale
-            out[start : start + _CHUNK] = kernel(z).mean(axis=1)
-        return float(out[0]) if scalar else out
+        pts = y_arr.reshape(-1, 1)
+        out = np.empty(pts.shape[0])
+        m = self._g.size
+        rows = max(1, _BLOCK // m)
+        for start in range(0, pts.shape[0], rows):
+            z = (pts[start : start + rows] - self._onset) / self._scale
+            # the row means np.mean takes, without its per-call overhead
+            out[start : start + rows] = np.add.reduce(kernel(z), axis=1) / m
+        return float(out[0]) if y_arr.ndim == 0 else out.reshape(y_arr.shape)
 
     def cdf(self, y):
         return self._mix(y, lambda z: gp_cdf_vec(self._g, self._s, z))
@@ -187,21 +123,16 @@ class BayesianPredictive(PredictiveModel):
             return np.array([self.quantile(float(p)) for p in np.asarray(prob)])
         prob = float(prob)
         if not 0.0 <= prob < 1.0:
-            if prob == 1.0 and np.all(self._g < 0.0):
+            if prob == 1.0 and (self._g < 0.0).all():
                 return self.support_upper()
             raise DomainError(f"quantile probability must lie in [0,1), got {prob}")
         if prob == 0.0:
             return self.support_lower()
-        per_draw = (
-            self.threshold
-            + self._shift
-            + self._scale * gp_quantile_vec(self._g, self._s, prob)
-        )
-        lo = float(np.min(per_draw))
-        hi = float(np.max(per_draw))
+        per_draw = self._onset + self._scale * gp_quantile_vec(self._g, self._s, prob)
+        lo, hi = float(per_draw.min()), float(per_draw.max())
         if not lo <= hi:
             raise NumericError("mixture quantile bracket is empty")
-        if hi - lo < 1e-12:
+        if hi - lo < 1e-12:  # one draw, or draws that agree: the closed form
             return lo
         # the mixture cdf is monotone and crosses prob inside the per-draw bracket
         try:
@@ -214,27 +145,57 @@ class BayesianPredictive(PredictiveModel):
             return lo if self.cdf(lo) >= prob else hi
 
     def mean(self) -> float:
-        if np.any(self._g >= 1.0):
+        if (self._g >= 1.0).any():
             raise InfiniteMeanError(
-                "mixture mean is infinite: some posterior draws have shape >= 1"
+                f"predictive mean is infinite for shape {float(self._g.max())} >= 1"
             )
-        per_draw = (
-            self.threshold
-            + self._shift
-            + self._scale * self._s / (1.0 - self._g)
-        )
-        return float(np.mean(per_draw))
+        return float((self._onset + self._scale * self._s / (1.0 - self._g)).mean())
 
     def support_lower(self) -> float:
-        return self.threshold + float(np.min(self._shift))
+        return float(self._onset.min())
 
     def support_upper(self) -> float:
-        if np.any(self._g >= 0.0):
+        if (self._g >= 0.0).any():
             return math.inf
-        uppers = (
-            self.threshold + self._shift + self._scale * (-self._s / self._g)
-        )
-        return float(np.max(uppers))
+        return float((self._onset + self._scale * (-self._s / self._g)).max())
+
+
+# each kind holds the law's methods in its own namespace, where
+# perfbench/tracing.py wraps them to time the two kinds apart
+_LAW = (MixturePredictive.cdf, MixturePredictive.pdf, MixturePredictive.quantile,
+        MixturePredictive.mean)
+
+
+class FrequentistPredictive(MixturePredictive):
+    """Plug-in GP predictive law anchored at the sample threshold: the
+    mixture of one draw, the estimate."""
+
+    kind = "frequentist"
+    mass_check_tol = 1e-8
+    cdf, pdf, quantile, mean = _LAW
+
+    def __init__(self, params: GpParams, threshold: float, levels: LevelPair):
+        self.params = params
+        super().__init__([params.gamma], [params.sigma], threshold, levels)
+
+    def at(self, levels: LevelPair) -> FrequentistPredictive:
+        return FrequentistPredictive(self.params, self.threshold, levels)
+
+
+class BayesianPredictive(MixturePredictive):
+    """Equal-weight mixture of per-draw predictive transforms over a posterior."""
+
+    kind = "bayesian"
+    mass_check_tol = 1e-4
+    cdf, pdf, quantile, mean = _LAW
+
+    def __init__(self, ps: PosteriorSample, threshold: float, levels: LevelPair):
+        if ps.m < 100:
+            raise DomainError(
+                f"mixture predictive needs at least 100 draws, have {ps.m}"
+            )
+        self.draws = ps
+        super().__init__(ps.gammas, ps.sigmas, threshold, levels)
 
     def at(self, levels: LevelPair) -> BayesianPredictive:
         return BayesianPredictive(self.draws, self.threshold, levels)

@@ -16,7 +16,7 @@ from numpy.linalg import LinAlgError
 
 from .errors import DomainError, InfiniteMeanError, TailcastError
 from .estimation import ExceedanceSet, GpFit
-from .gpd import GAMMA_ZERO_TOL, LevelPair
+from .gpd import LevelPair, shift_scale
 from .predict import (
     BayesianPredictive,
     PredictiveInterval,
@@ -55,18 +55,16 @@ def extreme_var(fit: GpFit, e: ExceedanceSet, tau_e: float) -> float:
     if tau_e >= 1.0:
         raise DomainError(f"extreme level must be below 1, got {tau_e}")
     tau_star = (1.0 - tau_e) / (1.0 - e.tau_i)
-    gamma, sigma = fit.params.gamma, fit.params.sigma
-    if abs(gamma) < GAMMA_ZERO_TOL:
-        return e.threshold - sigma * math.log(tau_star)
-    return e.threshold + sigma * (tau_star ** -gamma - 1.0) / gamma
+    shift, _ = shift_scale(fit.params.gamma, fit.params.sigma, tau_star)
+    return e.threshold + shift
 
 
 def var_from_predictive(m: PredictiveModel, tau_star: float) -> float:
     """Quantile of the intermediate predictive law at probability ``1 - tau_star``.
 
-    For the frequentist kind this agrees with :func:`extreme_var`
-    algebraically; for the Bayesian kind it is the posterior-mixture
-    quantile.
+    For the frequentist kind, the mixture of one draw, this is the closed
+    form of :func:`extreme_var`; for the Bayesian kind it is the
+    posterior-mixture quantile, found by root search.
     """
     if not 0.0 < tau_star <= 1.0:
         raise DomainError(f"tau_star must lie in (0,1], got {tau_star}")

@@ -26,12 +26,10 @@ from tailcast.gpd import (
     gp_cdf,
     gp_pdf,
     gp_quantile,
-    predictive_cdf,
-    predictive_pdf,
-    predictive_shift_scale,
+    shift_scale,
     threshold_shift,
 )
-from tailcast.predict import extreme_level_from_c, freq_predictive
+from tailcast.predict import FrequentistPredictive, extreme_level_from_c, freq_predictive
 from tailcast.risk import extreme_var, var_from_predictive
 from tailcast.simlab import (
     ExactGP,
@@ -409,32 +407,25 @@ def test_criterion_8_numerical_property_suite():
         for tau_star in (1.0, 0.25):
             p = GpParams(gamma, 1.3)
             levels = LevelPair.from_tau_star(0.9, tau_star)
-            m, s = predictive_shift_scale(p, levels)
+            law = FrequentistPredictive(p, 5.0, levels)
+            m, s = shift_scale(p.gamma, p.sigma, levels.tau_star)
             lo = 5.0 + m
             if p.upper < math.inf:
-                total, _ = quad(
-                    lambda y: predictive_pdf(p, 5.0, levels, y), lo, lo + s * p.upper
-                )
+                total, _ = quad(law.pdf, lo, lo + s * p.upper)
             else:
                 total, _ = quad(
-                    lambda u: predictive_pdf(p, 5.0, levels, lo + u / (1 - u))
-                    / (1 - u) ** 2,
-                    0.0, 1.0,
+                    lambda u: law.pdf(lo + u / (1 - u)) / (1 - u) ** 2, 0.0, 1.0
                 )
             checks.append(abs(total - 1.0) < 1e-8)
 
     # predictive pdf vs central differences of the cdf at 1e-6
     p = GpParams(0.3, 1.4)
     levels = LevelPair.from_tau_star(0.92, 0.3)
-    lo = 6.0 + predictive_shift_scale(p, levels)[0]
+    law = FrequentistPredictive(p, 6.0, levels)
+    lo = 6.0 + shift_scale(p.gamma, p.sigma, levels.tau_star)[0]
     h = 1e-5
     fd_ok = all(
-        abs(
-            (predictive_cdf(p, 6.0, levels, y + h) - predictive_cdf(p, 6.0, levels, y - h))
-            / (2 * h)
-            - predictive_pdf(p, 6.0, levels, y)
-        )
-        < 1e-6
+        abs((law.cdf(y + h) - law.cdf(y - h)) / (2 * h) - law.pdf(y)) < 1e-6
         for y in np.linspace(lo + 0.2, lo + 12.0, 20)
     )
     checks.append(fd_ok)

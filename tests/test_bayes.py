@@ -564,10 +564,10 @@ class TestLockstep:
             assert _assert_same_chains(*_lockstep_inputs(4, cfg=cfg), monkeypatch) == [4]
 
     def test_near_zero_shape_branch(self, monkeypatch):
-        import tailcast.bayes as bayes
+        import tailcast.gpd as gpd
 
-        # a wider zero band makes the closed-form branch common
-        monkeypatch.setattr(bayes, "GAMMA_ZERO_TOL", 0.02)
+        # a wider zero band makes the closed-form branch of gp_loglik common
+        monkeypatch.setattr(gpd, "GAMMA_ZERO_TOL", 0.02)
         es = [exceedances_from_excesses(make_excesses(0.0, 1.0, 150, seed=j)) for j in range(4)]
         specs = [PriorSpec(UniformWindowShape(-0.45, 2.0), LogUniformScale())] * 4
         cfgs = [SamplerConfig(seed=j, burn_in=300, draws=800) for j in range(4)]

@@ -299,6 +299,53 @@ class TestShapeEdge:
         assert math.isfinite(log_post)
 
 
+def _reference_grad(gamma, sigma, x):
+    """The gradient of the mean negative log-likelihood in (gamma, log sigma):
+    the shape component from the Taylor series of psi(z) = (z/(1+z) -
+    log1p z)/z^2 where |gamma| max(u) < 1e-2, from the general form on
+    log1p elsewhere."""
+    u = x / sigma
+    ratio = float(np.mean(u / (1.0 + gamma * u)))
+    if abs(gamma) * u[-1] < 1e-2:
+        z = gamma * u
+        psi = sum((-1) ** (j + 1) * (j + 1) / (j + 2) * z**j for j in range(12))
+        d_gamma = ratio + float(np.mean(u * u * psi))
+    else:
+        d_gamma = -float(np.mean(np.log1p(gamma * u))) / gamma**2 + (1.0 + 1.0 / gamma) * ratio
+    return np.array([d_gamma, 1.0 - (1.0 + gamma) * ratio])
+
+
+class TestNearZeroShape:
+    """The shape score's two terms of size mean(u)/gamma cancel near
+    gamma = 0; the series keeps its digits there."""
+
+    @pytest.mark.parametrize("k,seed", [(100, 3), (500, 4)])
+    @pytest.mark.parametrize("sigma_factor", [0.7, 1.4])
+    def test_gradient_matches_reference(self, k, seed, sigma_factor):
+        x = np.sort(np.random.default_rng(seed).exponential(1.0, k))
+        sigma = sigma_factor * float(np.mean(x))
+        magnitudes = np.geomspace(1e-9, 1e-2, 29)
+        for gamma in np.concatenate([magnitudes, -magnitudes]):
+            got = _negloglik_grad(np.array([gamma, math.log(sigma)]), x)
+            ref = _reference_grad(gamma, sigma, x)
+            assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref), gamma
+
+    def test_gradient_at_zero_is_the_exponential_limit(self):
+        x = np.sort(np.random.default_rng(5).exponential(2.0, 50))
+        u = x / 1.5
+        got = _negloglik_grad(np.array([0.0, math.log(1.5)]), x)
+        assert got.tolist() == [np.mean(u) - np.mean(u * u) / 2.0, 1.0 - np.mean(u)]
+
+    def test_fit_with_shape_just_above_zero_converges(self):
+        # an exponential sample whose ML shape is 6.7e-7: the score lost its
+        # digits there, and the fit was rejected as not converged (gradient
+        # norm 2.6e-5 against the 1e-6 gate)
+        x = np.random.default_rng(97755).exponential(1.0, 100)
+        fit = fit_ml(exceedances_from_excesses(x))
+        assert 1e-8 < fit.params.gamma < 1e-5
+        assert fit.details["grad_norm"] < 1e-9
+
+
 class TestPwm:
     def test_two_point_hand_computation_hits_error_path(self):
         # (a,b)=(1,3): M1=2, M2=1.25, ratio=0.8 -> gamma=6, sigma=-10

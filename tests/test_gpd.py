@@ -17,18 +17,15 @@ from tailcast.gpd import (
     gp_cdf,
     gp_pdf,
     gp_cdf_vec,
-    gp_logpdf_vec,
+    gp_loglik,
     gp_pdf_vec,
     gp_quantile_vec,
     gp_quantile,
     gp_sample,
-    predictive_cdf,
-    predictive_mean,
-    predictive_pdf,
-    predictive_quantile,
-    predictive_shift_scale,
+    shift_scale,
     threshold_shift,
 )
+from tailcast.predict import FrequentistPredictive
 
 MILAN_ML = GpParams(-0.34, 1.65)
 
@@ -152,43 +149,104 @@ def test_pdf_vec_equals_masked_form_exactly(params, points):
                 assert np.array_equal(gp_pdf_vec(g, s, v), _masked_gp_pdf(g, s, v))
 
 
-def _masked_gp_logpdf(gamma, sigma, x):
-    """The masked form gp_logpdf_vec had: each branch on its own elements only."""
-    gamma, sigma, x = (np.array(a) for a in np.broadcast_arrays(
-        np.asarray(gamma, dtype=float), np.asarray(sigma, dtype=float),
-        np.asarray(x, dtype=float)))
-    out = np.full(gamma.shape, -np.inf)
-    inside = x >= 0.0
-    zero = (np.abs(gamma) < GAMMA_ZERO_TOL) & inside
-    gen = (np.abs(gamma) >= GAMMA_ZERO_TOL) & inside
-    out[zero] = -x[zero] / sigma[zero] - np.log(sigma[zero])
-    g, s, xx = gamma[gen], sigma[gen], x[gen]
-    base = 1.0 + g * xx / s
-    vals = np.full(base.shape, -np.inf)
-    ok = base > 0.0
-    vals[ok] = -(1.0 / g[ok] + 1.0) * np.log(base[ok]) - np.log(s[ok])
-    out[gen] = vals
-    return out
+def _reference_loglik(gamma, log_sigma, x):
+    """Sum of GP log densities, each on its own, in exact sums."""
+    sigma = math.exp(log_sigma)
+    if gamma <= -0.5 or any(v * -gamma >= sigma for v in x):  # at or past the endpoint
+        return -math.inf
+    if abs(gamma) < GAMMA_ZERO_TOL:
+        return math.fsum(-v / sigma - log_sigma for v in x)
+    return math.fsum(-(1.0 / gamma + 1.0) * math.log1p(gamma * v / sigma) - log_sigma for v in x)
+
+
+_loglik_shapes = st.one_of(
+    st.floats(-0.5, 2.0),
+    st.sampled_from([
+        0.0, -0.0, 1e-9, -1e-9, 0.999 * GAMMA_ZERO_TOL, -0.999 * GAMMA_ZERO_TOL,
+        GAMMA_ZERO_TOL, -GAMMA_ZERO_TOL, -0.5, math.nextafter(-0.5, 0.0), -0.4999,
+    ]),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    _loglik_shapes,
+    st.floats(-4.0, 4.0),
+    st.lists(st.floats(1e-3, 50.0), min_size=1, max_size=40),
+    st.one_of(st.floats(1e-3, 0.999), st.floats(1.001, 4.0)),
+)
+def test_loglik_matches_sum_of_log_densities(gamma, log_sigma, points, reach):
+    """gp_loglik against per-point log densities, across the zero band and
+    near -1/2.  For a negative shape the largest excess is put at ``reach``
+    times the endpoint: inside the support below 1, past it above."""
+    x = np.sort(points)
+    if gamma < 0.0:
+        x = x * (reach * math.exp(log_sigma) / (-gamma) / x[-1])
+    got = gp_loglik(x)(gamma, log_sigma)
+    want = _reference_loglik(gamma, log_sigma, x)
+    if want == -math.inf:
+        assert got == -math.inf
+    else:
+        assert got == pytest.approx(want, rel=1e-11, abs=1e-11 * x.size)
+        # the sum of log1p passed in, as a lockstep block hands it over
+        if abs(gamma) >= GAMMA_ZERO_TOL:
+            sigma = math.exp(log_sigma)
+            s = float(np.add.reduce(np.log1p(x * (gamma / sigma))))
+            assert gp_loglik(x)(gamma, log_sigma, s) == got
+
+
+class TestLoglikGates:
+    x = np.array([0.5, 1.0, 4.0])
+
+    def test_past_and_at_the_endpoint(self):
+        # endpoint sigma/(-gamma) = 4 exactly: the largest excess sits on it
+        assert gp_loglik(self.x)(-0.25, 0.0) == -math.inf
+        assert gp_loglik(self.x)(-0.3, 0.0) == -math.inf
+        assert gp_loglik(self.x)(-0.2, 0.0) > -math.inf
+
+    def test_shapes_at_and_below_minus_half(self):
+        big = math.log(100.0)  # endpoint far past the sample
+        assert gp_loglik(self.x)(-0.5, big) == -math.inf
+        assert gp_loglik(self.x)(-0.75, big) == -math.inf
+        assert math.isfinite(gp_loglik(self.x)(math.nextafter(-0.5, 0.0), big))
+
+    def test_zero_band_takes_the_exponential_limit(self):
+        for g in (0.0, 1e-9, -1e-9):
+            assert gp_loglik(self.x)(g, 0.5) == -3 * 0.5 - 5.5 / math.exp(0.5)
+        # a passed log1p sum is not read in the band
+        assert gp_loglik(self.x)(1e-9, 0.5, math.nan) == gp_loglik(self.x)(1e-9, 0.5)
+
+
+_ratios = st.one_of(st.floats(1e-6, 1.0), st.sampled_from([1.0, 0.25, 1e-12]))
+
+
+# numpy takes a square root, a square or a reciprocal for a scalar power
+# of 1/2, 2 or -1, which an array of exponents does not
+_power_shortcuts = st.sampled_from([-0.5, -2.0, 1.0])
 
 
 @settings(deadline=None, max_examples=200)
 @given(
-    st.lists(st.tuples(_pdf_shapes, st.floats(0.01, 100.0)), min_size=1, max_size=6),
-    st.lists(_pdf_points, min_size=1, max_size=6),
+    st.lists(
+        st.tuples(st.one_of(_pdf_shapes, _power_shortcuts), st.floats(0.01, 100.0)),
+        min_size=1, max_size=8,
+    ),
+    _ratios,
 )
-def test_logpdf_vec_equals_masked_form_exactly(params, points):
-    """Whole-array evaluation gives the masked form's values bit for bit."""
+def test_shift_scale_floats_equal_arrays(params, tau_star):
+    """One map for a point fit and for posterior draws: the float path and
+    each element of the array path give the same bits."""
     gamma, sigma = (np.array(v) for v in zip(*params))
-    x = np.array(points)[:, None]  # a (points x parameters) block
-    with np.errstate(all="ignore"):
-        expected = _masked_gp_logpdf(gamma, sigma, x)
-    assert np.array_equal(gp_logpdf_vec(gamma, sigma, x), expected)
-    for g, s in params:
-        for v in points:
-            got, expected = gp_logpdf_vec(g, s, v), _masked_gp_logpdf(g, s, v)
-            assert isinstance(got, np.ndarray) and got.shape == () == expected.shape
-            assert np.array_equal(got, expected)
-            assert np.signbit(got) == np.signbit(expected)
+    shift, scale = shift_scale(gamma, sigma, tau_star)
+    assert shift.shape == scale.shape == gamma.shape
+    for i, (g, s) in enumerate(params):
+        got = shift_scale(g, s, tau_star)
+        assert all(type(v) is float for v in got)
+        assert np.array(got).view(np.int64).tolist() == [
+            np.array(shift[i]).view(np.int64), np.array(scale[i]).view(np.int64)
+        ]
+    if tau_star == 1.0:
+        assert np.all(shift == 0.0) and np.all(scale == 1.0)
 
 
 def _masked_gp_cdf(gamma, sigma, x):
@@ -342,48 +400,47 @@ class TestThresholdShift:
 class TestPredictiveTransform:
     def test_reduction_at_unit_ratio_is_exact(self):
         p = GpParams(0.4, 1.2)
-        levels = LevelPair.intermediate(0.95)
-        t = 10.0
+        law = FrequentistPredictive(p, 10.0, LevelPair.intermediate(0.95))
         for y in np.linspace(8.0, 30.0, 40):
-            assert predictive_cdf(p, t, levels, y) == gp_cdf(p, y - t)
-            assert predictive_pdf(p, t, levels, y) == gp_pdf(p, y - t)
+            assert law.cdf(y) == gp_cdf(p, y - 10.0)
+            assert law.pdf(y) == gp_pdf(p, y - 10.0)
 
     def test_monte_carlo_oracle(self):
         # affine representation: Y = t + m + s*U reproduces the analytic cdf
         p = GpParams(-0.2, 1.5)
         levels = LevelPair.from_tau_star(0.95, 0.2)
         t = 5.0
-        m, s = predictive_shift_scale(p, levels)
+        m, s = shift_scale(p.gamma, p.sigma, levels.tau_star)
         rng = np.random.default_rng(512)
         y = t + m + s * gp_sample(p, 1_000_000, rng)
         grid = np.quantile(y, np.linspace(0.001, 0.999, 200))
         emp = np.searchsorted(np.sort(y), grid, side="right") / y.size
-        ana = np.array([predictive_cdf(p, t, levels, g) for g in grid])
+        law = FrequentistPredictive(p, t, levels)
+        ana = np.array([law.cdf(g) for g in grid])
         assert np.max(np.abs(emp - ana)) < 3e-3
 
     def test_milan_extreme_threshold_point(self):
         # published intermediate fit pushed to the deeper threshold
         levels = LevelPair.from_tau_star(0.9462, 0.1302)
-        q0 = predictive_quantile(MILAN_ML, 34.0, levels, 0.0)
+        q0 = FrequentistPredictive(MILAN_ML, 34.0, levels).quantile(0.0)
         assert q0 == pytest.approx(36.43, abs=0.05)
         assert q0 == pytest.approx(36.4, abs=0.1)
 
     def test_gpwm_extreme_threshold_point(self):
         levels = LevelPair.from_levels(0.946, 0.99503)
         assert levels.tau_star == pytest.approx(0.0920, abs=2e-4)
-        q0 = predictive_quantile(GpParams(-0.29, 1.59), 34.0, levels, 0.0)
+        q0 = FrequentistPredictive(GpParams(-0.29, 1.59), 34.0, levels).quantile(0.0)
         assert q0 == pytest.approx(36.7, abs=0.1)
 
     def test_quantile_at_zero_with_unit_ratio(self):
-        levels = LevelPair.intermediate(0.9)
-        assert predictive_quantile(GpParams(0.3, 1.0), 7.0, levels, 0.0) == 7.0
+        law = FrequentistPredictive(GpParams(0.3, 1.0), 7.0, LevelPair.intermediate(0.9))
+        assert law.quantile(0.0) == 7.0
 
     def test_quantile_roundtrip(self):
-        p = GpParams(0.25, 2.0)
-        levels = LevelPair.from_tau_star(0.9, 0.3)
+        law = FrequentistPredictive(GpParams(0.25, 2.0), 3.0, LevelPair.from_tau_star(0.9, 0.3))
         for prob in (0.05, 0.5, 0.95):
-            y = predictive_quantile(p, 3.0, levels, prob)
-            assert predictive_cdf(p, 3.0, levels, y) == pytest.approx(prob, abs=1e-10)
+            y = law.quantile(prob)
+            assert law.cdf(y) == pytest.approx(prob, abs=1e-10)
 
     @pytest.mark.parametrize(
         "gamma,sigma,tau_star", [(0.5, 1.0, 0.25), (-0.3, 2.0, 0.1), (0.0, 1.0, 0.5)]
@@ -392,18 +449,14 @@ class TestPredictiveTransform:
         p = GpParams(gamma, sigma)
         levels = LevelPair.from_tau_star(0.9, tau_star)
         t = 4.0
-        m, s = predictive_shift_scale(p, levels)
+        law = FrequentistPredictive(p, t, levels)
+        m, s = shift_scale(p.gamma, p.sigma, levels.tau_star)
         lo = t + m
         if p.upper < math.inf:
-            total, _ = quad(
-                lambda y: predictive_pdf(p, t, levels, y), lo, lo + s * p.upper
-            )
+            total, _ = quad(law.pdf, lo, lo + s * p.upper)
         else:
             total, _ = quad(
-                lambda u: predictive_pdf(p, t, levels, lo + u / (1 - u))
-                / (1 - u) ** 2,
-                0.0,
-                1.0,
+                lambda u: law.pdf(lo + u / (1 - u)) / (1 - u) ** 2, 0.0, 1.0
             )
         assert total == pytest.approx(1.0, abs=1e-8)
 
@@ -412,43 +465,40 @@ class TestPredictiveTransform:
         levels = LevelPair.from_tau_star(0.92, 0.3)
         t = 6.0
         h = 1e-5
-        lo = t + predictive_shift_scale(p, levels)[0]
+        law = FrequentistPredictive(p, t, levels)
+        lo = t + shift_scale(p.gamma, p.sigma, levels.tau_star)[0]
         for y in np.linspace(lo + 0.2, lo + 12.0, 20):
-            fd = (
-                predictive_cdf(p, t, levels, y + h)
-                - predictive_cdf(p, t, levels, y - h)
-            ) / (2 * h)
-            assert fd == pytest.approx(predictive_pdf(p, t, levels, y), abs=1e-6)
+            fd = (law.cdf(y + h) - law.cdf(y - h)) / (2 * h)
+            assert fd == pytest.approx(law.pdf(y), abs=1e-6)
 
 
 class TestPredictiveMean:
     def test_exponential_unit(self):
-        levels = LevelPair.intermediate(0.5)
-        assert predictive_mean(GpParams(0.0, 1.0), 0.0, levels) == pytest.approx(1.0)
+        law = FrequentistPredictive(GpParams(0.0, 1.0), 0.0, LevelPair.intermediate(0.5))
+        assert law.mean() == pytest.approx(1.0)
 
     def test_milan_intermediate(self):
-        levels = LevelPair.intermediate(0.9462)
-        assert predictive_mean(MILAN_ML, 34.0, levels) == pytest.approx(35.23, abs=0.01)
+        law = FrequentistPredictive(MILAN_ML, 34.0, LevelPair.intermediate(0.9462))
+        assert law.mean() == pytest.approx(35.23, abs=0.01)
 
     def test_quadrature_cross_check(self):
         p = GpParams(0.5, 2.0)
         levels = LevelPair.from_tau_star(0.9, 0.25)
         t = 10.0
-        m, s = predictive_shift_scale(p, levels)
+        law = FrequentistPredictive(p, t, levels)
+        m, s = shift_scale(p.gamma, p.sigma, levels.tau_star)
         lo = t + m
         val, _ = quad(
-            lambda u: (lo + u / (1 - u))
-            * predictive_pdf(p, t, levels, lo + u / (1 - u))
-            / (1 - u) ** 2,
+            lambda u: (lo + u / (1 - u)) * law.pdf(lo + u / (1 - u)) / (1 - u) ** 2,
             0.0,
             1.0,
         )
-        closed = predictive_mean(p, t, levels)
-        assert closed == pytest.approx(val, rel=1e-8)
+        assert law.mean() == pytest.approx(val, rel=1e-8)
 
     def test_infinite_mean(self):
+        law = FrequentistPredictive(GpParams(1.0, 1.0), 0.0, LevelPair.intermediate(0.9))
         with pytest.raises(InfiniteMeanError):
-            predictive_mean(GpParams(1.0, 1.0), 0.0, LevelPair.intermediate(0.9))
+            law.mean()
 
 
 class TestLevelPair:

@@ -82,13 +82,13 @@ class TestFrequentistIntervals:
         assert widths == sorted(widths, reverse=True)
 
     def test_monte_carlo_quantile_oracle(self):
-        from tailcast.gpd import gp_sample, predictive_shift_scale
+        from tailcast.gpd import gp_sample, shift_scale
 
         p = GpParams(0.3, 1.0)
         levels = LevelPair.from_tau_star(0.95, 0.2)
         fit = GpFit(p, "ml", 100, 5.0, True)
         model = freq_predictive(fit, levels)
-        m, s = predictive_shift_scale(p, levels)
+        m, s = shift_scale(p.gamma, p.sigma, levels.tau_star)
         rng = np.random.default_rng(88)
         draws = 5.0 + m + s * gp_sample(p, 1_000_000, rng)
         for prob in (0.1, 0.5, 0.9):
@@ -185,6 +185,43 @@ class TestBayesianMixture:
     def test_needs_enough_draws(self):
         with pytest.raises(DomainError):
             bayes_predictive(collapsed_posterior(0.1, 1.0, m=50), 0.0, LevelPair.intermediate(0.9))
+
+
+class TestOneLaw:
+    """The frequentist kind is the mixture of one draw.  A posterior of m
+    copies of its estimate gives the same law: the same quantiles, support
+    and interval, and cdf, pdf and mean equal to the m-fold average of the
+    one-draw values, bit for bit (within 5 ulps of them at m = 100, from
+    numpy's summation of m equal terms alone)."""
+
+    M = 100
+
+    def average(self, values):
+        """The mixture's average of m copies of each of ``values``."""
+        copies = np.repeat(np.atleast_1d(values)[:, None], self.M, axis=1)
+        return np.add.reduce(copies, axis=1) / self.M
+
+    @pytest.mark.parametrize("gamma", [-0.45, -1e-9, 0.0, 1e-9, 0.3])
+    @pytest.mark.parametrize("tau_star", [1.0, 0.25, 0.013])
+    def test_frequentist_equals_collapsed_posterior(self, gamma, tau_star):
+        levels = LevelPair.from_tau_star(0.9, tau_star)
+        single = FrequentistPredictive(GpParams(gamma, 1.3), 4.0, levels)
+        ps = collapsed_posterior(gamma, 1.3, m=self.M)
+        mixture = BayesianPredictive(ps, 4.0, levels)
+        lo, hi = single.support_lower(), single.quantile(0.999)
+        ys = np.concatenate([[lo - 1.0, lo], np.linspace(lo, hi, 301), [hi * 2.0]])
+        assert single.support_lower() == mixture.support_lower()
+        assert single.support_upper() == mixture.support_upper()
+        probs = [0.0, 1e-6, 0.025, 0.5, 0.975, 0.999]
+        assert [single.quantile(q) for q in probs] == [mixture.quantile(q) for q in probs]
+        assert np.array_equal(mixture.cdf(ys), self.average(single.cdf(ys)))
+        assert np.array_equal(mixture.pdf(ys), self.average(single.pdf(ys)))
+        for y in ys[::50]:  # a scalar point takes the path of an array
+            assert single.cdf(float(y)) == single.cdf(ys[ys == y])[0]
+            assert mixture.cdf(float(y)) == self.average(single.cdf(float(y)))[0]
+        assert mixture.mean() == float(np.mean(np.full(self.M, single.mean())))
+        band, mixed = predictive_interval(single, 0.05), predictive_interval(mixture, 0.05)
+        assert (band.lower, band.upper) == (mixed.lower, mixed.upper)
 
 
 def per_draw_quantiles(model, prob):

@@ -1,5 +1,6 @@
 """Every module, test and benchmark script parses as Python 3.10, the oldest
-version CI runs (its 3.10 leg runs ``perfbench/run.py --smoke``)."""
+version CI runs (its 3.10 leg runs ``perfbench/run.py --smoke``); and the
+package's GP math stays written once."""
 
 import ast
 from pathlib import Path
@@ -21,3 +22,26 @@ def test_files_found():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: p.relative_to(ROOT).as_posix())
 def test_parses_as_python_3_10(path):
     ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
+def _names(path: Path) -> set[str]:
+    """Every name, attribute and imported name a module's code mentions."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_zero_shape_band_lives_in_gpd():
+    """``GAMMA_ZERO_TOL``, below which the GP formulas take their
+    exponential limit, is named in gpd.py alone: one likelihood, one
+    predictive map and the GP kernels carry that limit for every caller."""
+    users = sorted(
+        p.name for p in ROOT.glob("src/tailcast/*.py") if "GAMMA_ZERO_TOL" in _names(p)
+    )
+    assert users == ["gpd.py"]
