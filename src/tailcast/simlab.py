@@ -469,29 +469,29 @@ def _quantiles(values, *probs: float) -> list[float]:
     return [float(np.median(arr) if p == 0.5 else np.quantile(arr, p)) for p in probs]
 
 
-def _estimated_model(cfg: ExperimentConfig, method: str, draw: _Draw, bayes_fit):
-    """(intermediate model, extreme model, fallback flag) fitted to the top
-    ``k`` of one replication's sample.
+def _estimated_tail(method: str, draw: _Draw, bayes_fit):
+    """(tail fit, fallback flag) for the top ``k`` of one replication's
+    sample; callers read from it only the levels they use.
 
     The Bayes arm's fit, or its failure, comes from :func:`_bayes_fits`.
     ML falls back to PWM (flagged) so aggregates stay defined.
     """
-    fell_back = False
     if method == "bayes":
         if isinstance(bayes_fit, Exception):
             raise bayes_fit
-        tail = bayes_fit
-    else:
-        e = draw.exceedances()
-        try:
-            tail = fit_tail(e, method)
-        except _FIT_FAILURES:
-            if method != "ml":
-                raise
-            tail, fell_back = fit_tail(e, "pwm"), True
-    tau_i = tail.e.tau_i
-    ext_levels = cfg.level_rule.levels_for(tau_i, tail.gamma)
-    return tail.at(LevelPair.intermediate(tau_i)), tail.at(ext_levels), fell_back
+        return bayes_fit, False
+    e = draw.exceedances()
+    try:
+        return fit_tail(e, method), False
+    except _FIT_FAILURES:
+        if method != "ml":
+            raise
+        return fit_tail(e, "pwm"), True
+
+
+def _extreme_model(cfg: ExperimentConfig, tail: TailFit):
+    """The predictive law of ``tail`` at the extreme levels of ``cfg``'s rule."""
+    return tail.at(cfg.level_rule.levels_for(tail.e.tau_i, tail.gamma))
 
 
 def _oracle_model(fam: ExactGP, tau_i: float, levels: LevelPair):
@@ -546,7 +546,8 @@ def coverage_experiment(cfg: ExperimentConfig) -> CoverageResult:
                 cfg.alpha,
             )
         else:
-            _, model_ext, fell_back = _estimated_model(cfg, method, draw, bayes_fit)
+            tail, fell_back = _estimated_tail(method, draw, bayes_fit)
+            model_ext = _extreme_model(cfg, tail)
             tau_e = model_ext.levels.tau_e
             interval = predictive_interval(model_ext, cfg.alpha)
         covered = interval.contains(peak_quantile(tau_e, draw.u_test))
@@ -595,7 +596,8 @@ def contraction_experiment(cfg: ExperimentConfig) -> list[dict]:
             levels = cfg.level_rule.levels_for(tau_i, fam.true_gamma)
             model, fell_back = _oracle_model(fam, tau_i, levels), False
         else:
-            _, model, fell_back = _estimated_model(cfg, method, draw, bayes_fit)
+            tail, fell_back = _estimated_tail(method, draw, bayes_fit)
+            model = _extreme_model(cfg, tail)
         t_e_true = float(fam.quantile(model.levels.tau_e))
         excess_params = fam.conditional_excess_params(t_e_true)
         lower = min(model.support_lower(), t_e_true)
@@ -637,7 +639,8 @@ def tail_equivalence_experiment(cfg: ExperimentConfig) -> list[dict]:
             levels = LevelPair.intermediate(tau_i)
             model, fell_back = _oracle_model(fam, tau_i, levels), False
         else:
-            model, _, fell_back = _estimated_model(cfg, method, draw, bayes_fit)
+            tail, fell_back = _estimated_tail(method, draw, bayes_fit)
+            model = tail.at(LevelPair.intermediate(tail.e.tau_i))
         q_true = float(fam.quantile(1.0 - tau_star * (1.0 - model.levels.tau_i)))
         return tail_equivalence_ratio(model, q_true, tau_star), fell_back
 
@@ -696,7 +699,9 @@ def risk_error_experiment(cfg: ExperimentConfig) -> list[dict]:
         )
 
     def evaluate(method: str, draw: _Draw, bayes_fit):
-        model_int, model_ext, fell_back = _estimated_model(cfg, method, draw, bayes_fit)
+        tail, fell_back = _estimated_tail(method, draw, bayes_fit)
+        model_int = tail.at(LevelPair.intermediate(tail.e.tau_i))
+        model_ext = _extreme_model(cfg, tail)
         tau_e = model_ext.levels.tau_e
         var_true = float(fam.quantile(tau_e))
         es_true = true_es(tau_e)

@@ -490,7 +490,7 @@ class TestTopOnlyDraw:
             ties = [w for w in caught if w.category is TieWarning]
             counts.append(len(ties))
             if run is tail_equivalence_experiment:  # named at the fit, as before
-                lines, first = inspect.getsourcelines(simlab._estimated_model)
+                lines, first = inspect.getsourcelines(simlab._estimated_tail)
                 assert {w.filename for w in ties} == {simlab.__file__}
                 assert {w.lineno for w in ties} <= set(range(first, first + len(lines)))
         assert counts[0] == counts[1] > 0 and counts[0] % 2 == 0

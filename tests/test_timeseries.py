@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -124,7 +127,22 @@ class TestGarch:
 
         monkeypatch.setattr(ts, "minimize", spy)
         assert fit_garch11(y) == expected
-        assert calls == ["SLSQP"] * 4  # one search per start
+        assert calls == ["SLSQP"]  # one search, from the best grid cell
+
+    def test_low_alpha_fit_also_searches_from_the_fixed_starts(self, monkeypatch):
+        y = np.random.default_rng(5).standard_normal(1_000)
+        expected = fit_garch11(y)
+        alphas = []
+
+        def spy(*args, **kwargs):
+            res = minimize(*args, **kwargs)
+            alphas.append(res.x[2])
+            return res
+
+        monkeypatch.setattr(ts, "minimize", spy)
+        assert fit_garch11(y) == expected
+        assert len(alphas) == 1 + len(ts._GARCH_STARTS)
+        assert alphas[0] < ts._GARCH_FALLBACK_ALPHA
 
     def test_iid_input_small_persistence(self):
         rng = np.random.default_rng(5)
@@ -199,7 +217,58 @@ def nelder_mead_reference(y):
     return best
 
 
+def four_start_reference(y):
+    """Best SLSQP end point from the four fixed starts, as the fit searched
+    before its grid start, mapped back to the scale of ``y``."""
+    loc, scale = float(np.mean(y)), float(np.std(y))
+    z = (y - loc) / scale
+    persistence = {
+        "type": "ineq",
+        "fun": lambda p: 0.9995 - p[2] - p[3],
+        "jac": lambda p: np.array([0.0, 0.0, -1.0, -1.0]),
+    }
+    best = None
+    for a0, b0 in ((0.05, 0.90), (0.10, 0.80), (0.02, 0.50), (0.01, 0.98)):
+        res = minimize(
+            ts._garch_neg_qll,
+            [0.0, math.log(1.0 - a0 - b0), a0, b0],
+            args=(z,),
+            jac=True,
+            method="SLSQP",
+            bounds=[(None, None), (None, None), (0.0, 0.9995), (0.0, 0.9995)],
+            constraints=[persistence],
+            options={"ftol": 1e-14, "maxiter": 500},
+        )
+        if best is None or res.fun < best.fun:
+            best = res
+    mu_z, log_omega_z, alpha, beta = best.x
+    params = [loc + scale * mu_z, log_omega_z + 2.0 * math.log(scale), alpha, beta]
+    return reference_neg_qll(params, y)
+
+
 GRADIENT_SERIES = simulate_garch(0.1, 0.1, 0.8, 1_000, seed=3)
+
+# Prints an md5 of the quasi-likelihood's value and gradient bytes at 20
+# points on each of 3 simulated GARCH windows, and of the grid values.
+OBJECTIVE_BYTES_CODE = """
+import hashlib, math
+import numpy as np
+import tailcast.timeseries as ts
+h = hashlib.md5()
+for seed in range(3):
+    rng = np.random.default_rng(seed)
+    eps = rng.standard_t(5.0, 1_000) * math.sqrt(0.6)
+    y, s2 = np.empty(1_000), 1.0
+    for t in range(1_000):
+        y[t] = math.sqrt(s2) * eps[t]
+        s2 = 0.02 + 0.08 * y[t] ** 2 + 0.9 * s2
+    z = (y - y.mean()) / y.std()
+    h.update(ts._garch_grid_neg_qll(z).tobytes())
+    for p in rng.uniform([-0.3, -6.0, 0.0, 0.0], [0.3, 0.0, 0.4, 0.59], (20, 4)):
+        value, grad = ts._garch_neg_qll(p, z)
+        h.update(np.float64(value).tobytes() + grad.tobytes())
+print(h.hexdigest())
+"""
 
 
 class TestGarchSolver:
@@ -223,6 +292,38 @@ class TestGarchSolver:
             down, _ = ts._garch_neg_qll(params - step, GRADIENT_SERIES)
             numeric[i] = (up - down) / (2.0 * step[i])
         np.testing.assert_allclose(grad, numeric, rtol=1e-5, atol=1e-6)
+
+    def test_grid_matches_the_objective_on_every_cell(self):
+        z = (GRADIENT_SERIES - GRADIENT_SERIES.mean()) / GRADIENT_SERIES.std()
+        cells = ts._garch_grid_neg_qll(z)
+        assert cells.shape == (ts._GARCH_GRID_ALPHA.size, ts._GARCH_GRID_BETA.size)
+        for i, alpha in enumerate(ts._GARCH_GRID_ALPHA):
+            for j, beta in enumerate(ts._GARCH_GRID_BETA):
+                if alpha + beta > ts._GARCH_MAX_PERSISTENCE:
+                    assert cells[i, j] == math.inf
+                    continue
+                params = np.array([0.0, math.log(1.0 - alpha - beta), alpha, beta])
+                value, _ = ts._garch_neg_qll(params, z)
+                assert cells[i, j] == pytest.approx(value, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_no_worse_than_four_starts(self, seed):
+        y = simulate_garch(0.05, 0.08, 0.9, 1_000, seed=seed, df=5.0)
+        model = fit_garch11(y)
+        params = [model.mean, math.log(model.omega), model.alpha, model.beta]
+        assert reference_neg_qll(params, y) <= four_start_reference(y) + 1e-12
+
+    def test_objective_bytes_do_not_depend_on_blas_threads(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(ts.__file__)))
+        digests = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+            out = subprocess.run(
+                [sys.executable, "-c", OBJECTIVE_BYTES_CODE],
+                env=env, capture_output=True, text=True, timeout=120, check=True,
+            )
+            digests.append(out.stdout.strip())
+        assert digests[0] == digests[1] != ""
 
     @pytest.mark.parametrize(
         "series",
