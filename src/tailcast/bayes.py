@@ -35,12 +35,14 @@ from .errors import (
     DomainError,
     EstimationError,
     DegenerateDataError,
+    NumericError,
     PriorError,
     SamplerError,
     SamplerHealthWarning,
 )
+from .density import integrate_density
 from .estimation import ExceedanceSet, fit_ml, _negloglik_grad
-from .gpd import GpParams, gp_loglik
+from .gpd import GpParams, Support, gp_loglik
 
 __all__ = [
     "TruncatedNormalShape",
@@ -208,8 +210,6 @@ class PriorSpec:
             self._check_shape_prior()
 
     def _check_shape_prior(self):
-        from scipy.integrate import quad
-
         lo, hi = self.shape.support
 
         def dens(g):
@@ -226,15 +226,16 @@ class PriorSpec:
             # integrability near the shape boundary: integrate in log distance
             # from the boundary (so boundary layers stay visible to quadrature)
             # and require that tightening the cutoff adds no further unit mass
+            def in_log_distance(w):
+                return np.array([dens(lo + math.exp(v)) * math.exp(v) for v in w])
+
             def mass_above(cut: float) -> float:
-                a, b = math.log(cut), math.log(upper - lo)
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    val, _ = quad(
-                        lambda w: dens(lo + math.exp(w)) * math.exp(w),
-                        a, b, limit=200,
+                try:
+                    return integrate_density(
+                        in_log_distance, Support(math.log(cut), math.log(upper - lo))
                     )
-                return val
+                except NumericError:  # not finite, or no convergence: not integrable
+                    return math.inf
 
             cuts = [c for c in (1e-4, 1e-8) if c < (upper - lo) / 4.0]
             masses = [mass_above(c) for c in cuts]

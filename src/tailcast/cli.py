@@ -10,9 +10,12 @@ failures.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import sys
+from dataclasses import replace
+from functools import partial
 
 from . import io as tio
 from .bayes import (
@@ -26,15 +29,7 @@ from .bayes import (
     gamma_base_log_density,
     posterior_summary,
 )
-from .errors import (
-    DomainError,
-    EstimationError,
-    NumericError,
-    PriorError,
-    SamplerError,
-    TailcastError,
-    DegenerateDataError,
-)
+from .errors import DomainError, EstimationError, NumericError, SamplerError, TailcastError
 from .estimation import endpoint_estimate, pwm_scale, select_exceedances, SortedSample
 from .gpd import LevelPair
 from .predict import (
@@ -71,19 +66,9 @@ _EXIT_VALIDATION = 3
 _EXIT_NUMERIC = 4
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # route argparse's own errors to exit code 3
-        raise _UsageError(message)
-
-
-def _check_keys(d: dict, allowed: set[str], context: str) -> None:
-    unknown = set(d) - allowed
-    if unknown:
-        raise DomainError(f"unknown keys in {context}: {sorted(unknown)}")
+        raise DomainError(message)
 
 
 def _load_config(path: str | None) -> dict:
@@ -99,57 +84,92 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _sampler_from_config(
-    cfg: dict, seed: int, burn_in: int = 5_000, draws: int = 20_000
-) -> SamplerConfig:
-    """Sampler from the config's ``sampler`` section over the given defaults."""
-    sub = cfg.get("sampler", {})
-    _check_keys(sub, {"seed", "burn_in", "draws", "thin", "adapt_interval"}, "sampler")
-    return SamplerConfig(
-        seed=int(sub.get("seed", seed)),
-        burn_in=int(sub.get("burn_in", burn_in)),
-        draws=int(sub.get("draws", draws)),
-        thin=int(sub.get("thin", 1)),
-        adapt_interval=int(sub.get("adapt_interval", 100)),
-    )
+def _section(value, spec, context: str, tag: str = "kind"):
+    """The object a config section describes: ``build(**values)``.
+
+    ``spec`` is a pair ``(build, table)``: ``table`` maps each key the
+    section may hold to the converter of its value, and a key the section
+    leaves out takes ``build``'s default (a null section reads as an empty
+    one).  A ``spec`` dict instead maps each value of the section's ``tag``
+    key, a prior's ``kind`` or a generator's ``family``, to such a pair.
+    Every fault is a :class:`DomainError`: a section that is not a JSON
+    object, an unknown tag or key, a value its converter refuses, or a
+    missing key that ``build`` requires.
+    """
+    value = {} if value is None else value
+    if not isinstance(value, dict):
+        raise DomainError(f"{context} must be a JSON object, got {value!r}")
+    if isinstance(spec, dict):
+        value = dict(value)
+        name = value.pop(tag, None)
+        if not isinstance(name, str) or name not in spec:
+            raise DomainError(f"unknown {context} {tag} {name!r}")
+        spec = spec[name]
+    build, table = spec
+    unknown = set(value) - set(table)
+    if unknown:
+        raise DomainError(f"unknown keys in {context}: {sorted(unknown)}")
+    params = inspect.signature(build).parameters.values()
+    absent = table.keys() - value
+    missing = [p.name for p in params if p.name in absent and p.default is p.empty]
+    if missing:
+        raise DomainError(f"{context} needs {', '.join(missing)}")
+    kwargs = {}
+    for key, val in value.items():
+        try:
+            kwargs[key] = table[key](val)
+        except TailcastError:  # a nested section's own fault
+            raise
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"bad value for {context}.{key}: {val!r} ({exc})") from None
+    return build(**kwargs)
 
 
-def _prior_from_config(cfg: dict, scale_anchor: float) -> PriorSpec:
-    sub = cfg.get("prior")
-    if sub is None:
-        return default_prior(scale_anchor)
-    _check_keys(sub, {"shape", "scale"}, "prior")
-    shape_cfg = sub.get("shape", {"kind": "truncated-normal"})
-    kind = shape_cfg.get("kind")
-    if kind == "truncated-normal":
-        _check_keys(shape_cfg, {"kind", "mean", "sd"}, "prior.shape")
-        shape = TruncatedNormalShape(
-            float(shape_cfg.get("mean", 0.0)), float(shape_cfg.get("sd", 10.0))
+def _one_of(*names):
+    def convert(name):
+        if name not in names:
+            raise ValueError(f"not one of {', '.join(names)}")
+        return name
+
+    return convert
+
+
+_SAMPLER = {key: int for key in ("seed", "burn_in", "draws", "thin", "adapt_interval")}
+
+
+def _sampler(value, build, reseeded_by: str | None = None) -> SamplerConfig:
+    """The ``sampler`` section over ``build``'s defaults.  Where every chain is
+    reseeded from ``reseeded_by``, a ``seed`` would do nothing, so it is refused."""
+    if reseeded_by and isinstance(value, dict) and "seed" in value:
+        raise DomainError(
+            f"sampler.seed has no effect here: each chain is seeded from {reseeded_by}"
         )
-    elif kind == "uniform-window":
-        _check_keys(shape_cfg, {"kind", "lo", "hi"}, "prior.shape")
-        shape = UniformWindowShape(float(shape_cfg["lo"]), float(shape_cfg["hi"]))
-    else:
-        raise DomainError(f"unknown shape prior kind {kind!r}")
-    scale_cfg = sub.get("scale", {"kind": "data-dependent"})
-    kind = scale_cfg.get("kind")
-    if kind == "data-dependent":
-        _check_keys(scale_cfg, {"kind", "base", "shape", "rate"}, "prior.scale")
-        base = scale_cfg.get("base", "gamma")
-        if base != "gamma":
-            raise DomainError(f"unknown scale prior base {base!r}")
-        scale = DataDependentScale(
-            gamma_base_log_density(
-                float(scale_cfg.get("shape", 1.0)), float(scale_cfg.get("rate", 1.0))
-            ),
-            anchor=scale_anchor,
-        )
-    elif kind == "log-uniform":
-        _check_keys(scale_cfg, {"kind"}, "prior.scale")
-        scale = LogUniformScale()
-    else:
-        raise DomainError(f"unknown scale prior kind {kind!r}")
-    return PriorSpec(shape=shape, scale=scale)
+    return _section(value, (build, _SAMPLER), "sampler")
+
+
+_SHAPES = {
+    "truncated-normal": (TruncatedNormalShape, {"mean": float, "sd": float}),
+    "uniform-window": (UniformWindowShape, {"lo": float, "hi": float}),
+}
+
+
+def _prior(cfg: dict, anchor: float) -> PriorSpec:
+    """The ``prior`` section over :func:`default_prior` at the scale ``anchor``."""
+    def data_dependent(base=None, **kw):  # Gamma(shape, rate) is the only base
+        return DataDependentScale(gamma_base_log_density(**kw), anchor)
+
+    scales = {
+        "data-dependent": (
+            data_dependent, {"base": _one_of("gamma"), "shape": float, "rate": float}
+        ),
+        "log-uniform": (LogUniformScale, {}),
+    }
+    table = {
+        "shape": lambda v: _section(v, _SHAPES, "prior.shape"),
+        "scale": lambda v: _section(v, scales, "prior.scale"),
+    }
+    build = partial(replace, default_prior(anchor))
+    return _section(cfg.get("prior"), (build, table), "prior")
 
 
 def _write_out(args, text: str) -> None:
@@ -181,13 +201,17 @@ def _flatten(d: dict, prefix: str = "") -> dict:
     return out
 
 
+def _interval(iv) -> dict:
+    return {"lower": iv.lower, "upper": iv.upper, "alpha": iv.alpha}
+
+
 def _fit_tail(sample: SortedSample, k: int, args, cfg: dict) -> TailFit:
     """Tail fit of the top ``k`` order statistics; Bayes reads the config."""
     e = select_exceedances(sample, k)
     if args.method != "bayes":
         return fit_tail(e, args.method)
-    prior = _prior_from_config(cfg, pwm_scale(e))
-    return fit_tail(e, "bayes", prior, _sampler_from_config(cfg, args.seed))
+    sampler = _sampler(cfg.get("sampler"), partial(SamplerConfig, seed=args.seed))
+    return fit_tail(e, "bayes", _prior(cfg, pwm_scale(e)), sampler)
 
 
 def cmd_fit(args) -> int:
@@ -196,39 +220,33 @@ def cmd_fit(args) -> int:
     sample = SortedSample.from_data(data)
     tail = _fit_tail(sample, args.k, args, cfg)
     e, fit, ps = tail.e, tail.fit, tail.posterior
+    report = {
+        "command": "fit",
+        "method": args.method,
+        "n": sample.n,
+        "k": e.k,
+        "tau_i": e.tau_i,
+        "threshold": e.threshold,
+    }
     if fit is not None:
-        gamma, sigma = fit.params.gamma, fit.params.sigma
-        report = {
-            "command": "fit",
-            "method": args.method,
-            "n": sample.n,
-            "k": e.k,
-            "tau_i": e.tau_i,
-            "threshold": e.threshold,
-            "gamma": gamma,
-            "sigma": sigma,
-            "loglik": fit.loglik,
-            "converged": fit.converged,
-            "endpoint": endpoint_estimate(fit, e.threshold),
-            "posterior": None,
-        }
+        report.update(
+            gamma=fit.params.gamma,
+            sigma=fit.params.sigma,
+            loglik=fit.loglik,
+            converged=fit.converged,
+            endpoint=endpoint_estimate(fit, e.threshold),
+            posterior=None,
+        )
     else:
         summary = posterior_summary(ps, level=0.95)
         gamma, sigma = summary.mean_gamma, summary.mean_sigma
-        endpoint = e.threshold - sigma / gamma if gamma < 0 else math.inf
-        report = {
-            "command": "fit",
-            "method": "bayes",
-            "n": sample.n,
-            "k": e.k,
-            "tau_i": e.tau_i,
-            "threshold": e.threshold,
-            "gamma": gamma,
-            "sigma": sigma,
-            "loglik": None,
-            "converged": True,
-            "endpoint": endpoint,
-            "posterior": {
+        report.update(
+            gamma=gamma,
+            sigma=sigma,
+            loglik=None,
+            converged=True,
+            endpoint=e.threshold - sigma / gamma if gamma < 0 else math.inf,
+            posterior={
                 "m": ps.m,
                 "acceptance_rate": ps.acceptance_rate,
                 "ess": list(ps.ess),
@@ -237,12 +255,10 @@ def cmd_fit(args) -> int:
                 "ci_gamma": list(summary.ci_gamma),
                 "ci_sigma": list(summary.ci_sigma),
                 "endpoint_mean": summary.endpoint_mean,
-                "ci_endpoint": list(summary.ci_endpoint)
-                if summary.ci_endpoint
-                else None,
+                "ci_endpoint": list(summary.ci_endpoint) if summary.ci_endpoint else None,
                 "prob_finite_endpoint": summary.prob_finite_endpoint,
             },
-        }
+        )
     _emit(args, report)
     return 0
 
@@ -294,23 +310,15 @@ def cmd_predict(args) -> int:
             "median": model.quantile(0.5),
             "mean": mean,
         },
-        "interval": {
-            "lower": interval.lower,
-            "upper": interval.upper,
-            "alpha": interval.alpha,
-        },
+        "interval": _interval(interval),
         "grid_path": None,
     }
     if args.grid_points:
         lo = args.grid_lo if args.grid_lo is not None else model.quantile(0.0)
         hi = args.grid_hi if args.grid_hi is not None else model.quantile(0.995)
         grid = prediction_grid(model, lo, hi, args.grid_points)
-        grid_path = args.grid_out or (
-            (args.out or "prediction") + ".grid.csv"
-        )
-        rows = [
-            {"y": float(r[0]), "pdf": float(r[1]), "cdf": float(r[2])} for r in grid
-        ]
+        grid_path = args.grid_out or (args.out or "prediction") + ".grid.csv"
+        rows = [{"y": float(r[0]), "pdf": float(r[1]), "cdf": float(r[2])} for r in grid]
         tio.write_csv_rows(grid_path, rows, ["y", "pdf", "cdf"])
         report["grid_path"] = grid_path
     _emit(args, report)
@@ -362,13 +370,7 @@ def cmd_risk(args) -> int:
         "var_point": rep.var_point,
         "es_point": rep.es_point,
         "es_reason": rep.es_reason,
-        "interval": {
-            "lower": rep.interval.lower,
-            "upper": rep.interval.upper,
-            "alpha": rep.interval.alpha,
-        }
-        if rep.interval
-        else None,
+        "interval": _interval(rep.interval) if rep.interval else None,
     }
     _emit(args, report)
     return 0
@@ -378,7 +380,10 @@ def cmd_ts(args) -> int:
     cfg = _load_config(args.config)
     columns = 3 if args.filter == "external" else 1
     data = tio.read_numeric_csv(args.input, columns=columns)
-    sampler = _sampler_from_config(cfg, args.seed) if args.method == "bayes" else None
+    sampler = None
+    if args.method == "bayes":
+        build = partial(SamplerConfig, seed=args.seed)
+        sampler = _sampler(cfg.get("sampler"), build, reseeded_by="--seed")
     rolling = RollingConfig(
         filter=args.filter,
         ar_order=args.ar_order,
@@ -401,118 +406,80 @@ def cmd_ts(args) -> int:
     return 0
 
 
-_FAMILY_BUILDERS = {
-    "exact-gp": (ExactGP, {"gamma", "sigma"}),
-    "pareto": (Pareto, {"alpha"}),
-    "frechet": (Frechet, {"alpha"}),
-    "burr": (Burr, {"shape1", "shape2"}),
-    "exponential": (Exponential, {"rate"}),
-    "beta-tail": (BetaTail, {"a", "b"}),
+_FAMILIES = {
+    "exact-gp": (ExactGP, {"gamma": float, "sigma": float}),
+    "pareto": (Pareto, {"alpha": float}),
+    "frechet": (Frechet, {"alpha": float}),
+    "burr": (Burr, {"shape1": float, "shape2": float}),
+    "exponential": (Exponential, {"rate": float}),
+    "beta-tail": (BetaTail, {"a": float, "b": float}),
+}
+
+_EXPERIMENTS = {
+    "coverage": lambda run: coverage_experiment(run).rows(),
+    "contraction": contraction_experiment,
+    "tail-equivalence": tail_equivalence_experiment,
+    "risk-error": risk_error_experiment,
+    "ts-coverage": ts_coverage_experiment,
 }
 
 
-def _generator_from_config(cfg: dict, seed: int) -> Generator:
-    sub = cfg.get("generator")
-    if not isinstance(sub, dict) or "family" not in sub:
-        raise DomainError("simulation config needs a generator with a family")
-    family_name = sub["family"]
-    if family_name not in _FAMILY_BUILDERS:
-        raise DomainError(f"unknown generator family {family_name!r}")
-    builder, allowed = _FAMILY_BUILDERS[family_name]
-    _check_keys(sub, allowed | {"family"}, "generator")
-    params = {key: float(val) for key, val in sub.items() if key != "family"}
-    return Generator(builder(**params), seed=seed)
+def _simulation_keys(experiment, generator, **keys) -> dict:
+    # a simulation config's keys, converted: only these two are required
+    return {"experiment": experiment, "generator": generator, **keys}
 
 
-def _k_rule_from_config(cfg: dict) -> KRule:
-    sub = cfg.get("k", {"kind": "power", "delta": 0.5})
-    _check_keys(sub, {"kind", "k", "coef", "delta", "eta"}, "k")
-    return KRule(
-        kind=sub.get("kind", "power"),
-        k=int(sub.get("k", 0)),
-        coef=float(sub.get("coef", 1.0)),
-        delta=float(sub.get("delta", 0.5)),
-        eta=float(sub.get("eta", 0.0)),
-    )
+_K_RULE = {"kind": str, "k": int, "coef": float, "delta": float, "eta": float}
+_SIMULATION = (_simulation_keys, {
+    "experiment": _one_of(*_EXPERIMENTS),
+    "generator": lambda v: _section(v, _FAMILIES, "generator", tag="family"),
+    "n": int,
+    "n_ladder": lambda v: tuple(int(n) for n in v) if v else None,
+    "k": lambda v: _section(v, (KRule, _K_RULE), "k"),
+    "levels": lambda v: _section(v, (LevelRule, {"kind": str, "value": float}), "levels"),
+    "alpha": float,
+    "replications": int,
+    "methods": tuple,
+    "seed": int,
+    "rel_err_tol": float,
+    "sampler": lambda v: v,  # read below, over the run's own defaults
+    "ts": lambda v: v,
+})
 
-
-def _level_rule_from_config(cfg: dict) -> LevelRule:
-    sub = cfg.get("levels", {"kind": "tau-star", "value": 0.25})
-    _check_keys(sub, {"kind", "value"}, "levels")
-    return LevelRule(kind=sub.get("kind", "tau-star"), value=float(sub.get("value", 0.25)))
-
-
-_SIM_KEYS = {
-    "experiment", "generator", "n", "n_ladder", "k", "levels", "alpha",
-    "replications", "methods", "seed", "sampler", "rel_err_tol", "ts",
+_TS = {
+    "phi": float, "window": int, "origins": int, "k": int, "tau_star": float,
+    "alpha": float, "burn": int, "stride": int,
 }
+
+
+def _simulation(cfg: dict, seed: int):
+    """``(experiment, run config)`` of a simulation config; ``seed`` is --seed."""
+    sim = _section(cfg, _SIMULATION, "simulation config")
+    experiment, family = sim.pop("experiment"), sim.pop("generator")
+    ts, sampler = sim.pop("ts", None), sim.pop("sampler", None)
+    seed = sim.setdefault("seed", seed)
+    if experiment == "ts-coverage":
+        shared = {key: sim[key] for key in ("methods", "seed") if key in sim}
+        build = partial(TsCoverageConfig, phi=0.6, innovations=family, **shared)
+        run = _section(ts, (build, _TS), "ts")
+    else:
+        generator = Generator(family, seed=seed)
+        rules = sim.pop("k", KRule()), sim.pop("levels", LevelRule())
+        run = ExperimentConfig(generator, sim.pop("n", 10_000), *rules, **sim)
+    sampler = _sampler(sampler, partial(replace, run.sampler), "the top-level seed or --seed")
+    return experiment, replace(run, sampler=sampler)
 
 
 def cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
     if not cfg:
         raise DomainError("simulate requires a config file")
-    _check_keys(cfg, _SIM_KEYS, "simulation config")
-    experiment = cfg.get("experiment")
-    seed = int(cfg.get("seed", args.seed))
-    sampler = _sampler_from_config(cfg, seed, burn_in=1_000, draws=2_500)
+    experiment, run = _simulation(cfg, args.seed)
+    rows = _EXPERIMENTS[experiment](run)
     out_prefix = args.out or "experiment"
-
-    if experiment == "ts-coverage":
-        sub = cfg.get("ts", {})
-        _check_keys(
-            sub,
-            {"phi", "window", "origins", "k", "tau_star", "alpha", "burn", "stride"},
-            "ts",
-        )
-        ts_cfg = TsCoverageConfig(
-            phi=float(sub.get("phi", 0.6)),
-            innovations=_generator_from_config(cfg, seed).family,
-            window=int(sub.get("window", 1000)),
-            origins=int(sub.get("origins", 500)),
-            k=int(sub.get("k", 100)),
-            tau_star=float(sub.get("tau_star", 0.25)),
-            alpha=float(sub.get("alpha", 0.05)),
-            methods=tuple(cfg.get("methods", ["ml"])),
-            seed=seed,
-            sampler=sampler,
-            burn=int(sub.get("burn", 200)),
-            stride=int(sub["stride"]) if "stride" in sub else None,
-        )
-        rows = ts_coverage_experiment(ts_cfg)
-    else:
-        exp_cfg = ExperimentConfig(
-            generator=_generator_from_config(cfg, seed),
-            n=int(cfg.get("n", 10_000)),
-            k_rule=_k_rule_from_config(cfg),
-            level_rule=_level_rule_from_config(cfg),
-            alpha=float(cfg.get("alpha", 0.05)),
-            replications=int(cfg.get("replications", 100)),
-            methods=tuple(cfg.get("methods", ["ml"])),
-            seed=seed,
-            sampler=sampler,
-            n_ladder=tuple(cfg["n_ladder"]) if cfg.get("n_ladder") else None,
-            rel_err_tol=float(cfg.get("rel_err_tol", 0.15)),
-        )
-        if experiment == "coverage":
-            rows = coverage_experiment(exp_cfg).rows()
-        elif experiment == "contraction":
-            rows = contraction_experiment(exp_cfg)
-        elif experiment == "tail-equivalence":
-            rows = tail_equivalence_experiment(exp_cfg)
-        elif experiment == "risk-error":
-            rows = risk_error_experiment(exp_cfg)
-        else:
-            raise DomainError(f"unknown experiment {experiment!r}")
-
     tio.write_csv_rows(out_prefix + ".csv", rows)
-    summary = {
-        "command": "simulate",
-        "experiment": experiment,
-        "seed": seed,
-        "rows": rows,
-    }
-    tio.write_json(out_prefix + ".json", summary)
+    summary = {"command": "simulate", "experiment": experiment, "seed": run.seed}
+    tio.write_json(out_prefix + ".json", {**summary, "rows": rows})
     sys.stdout.write(f"wrote {out_prefix}.csv and {out_prefix}.json\n")
     return 0
 
@@ -525,9 +492,7 @@ def build_parser() -> _Parser:
         p.add_argument("--input", required=True, help="CSV with one numeric column")
         if with_k:
             p.add_argument("--k", type=int, required=True, help="effective sample size")
-        p.add_argument(
-            "--method", choices=("ml", "pwm", "bayes"), default="ml"
-        )
+        p.add_argument("--method", choices=("ml", "pwm", "bayes"), default="ml")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--config", default=None, help="JSON config (sampler, prior)")
         p.add_argument("--out", default=None, help="output path (default stdout)")
@@ -560,9 +525,7 @@ def build_parser() -> _Parser:
     common(p_ts)
     p_ts.add_argument("--window", type=int, required=True)
     p_ts.add_argument("--stride", type=int, required=True)
-    p_ts.add_argument(
-        "--filter", choices=("ar", "garch11", "external"), default="ar"
-    )
+    p_ts.add_argument("--filter", choices=("ar", "garch11", "external"), default="ar")
     p_ts.add_argument("--ar-order", type=int, default=1)
     p_ts.add_argument("--tau-e", type=float, default=0.999)
     p_ts.add_argument("--alpha", type=float, default=0.01)
@@ -585,13 +548,8 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_VALIDATION
-    try:
+        args = build_parser().parse_args(argv)
         return _DISPATCH[args.command](args)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -599,7 +557,7 @@ def main(argv=None) -> int:
     except (NumericError, EstimationError, SamplerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_NUMERIC
-    except (DomainError, DegenerateDataError, PriorError, TailcastError) as exc:
+    except TailcastError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_VALIDATION
 

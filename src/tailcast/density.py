@@ -29,7 +29,10 @@ _MAX_PANELS = 2000
 _FIRST_PANELS = 16
 # On the half-line the last panel is also cut geometrically toward t = 1,
 # out to x - lower of about 2^28 times the panel's start: a heavy tail
-# leaves a cusp (1-t)^(1/gamma - 1) there that one panel's K15 - G7 gap misses
+# leaves a cusp (1-t)^(1/gamma - 1) there that one panel's K15 - G7 gap misses.
+# A bounded support has its first and last panels cut the same way toward
+# its ends, so a density many scales narrower than the support still meets
+# first-round nodes
 _TAIL_GRADE = 0.5 ** np.arange(1, 25)
 
 # 15-point Kronrod rule on [-1, 1] and the 7-point Gauss rule on its odd
@@ -115,7 +118,9 @@ def _quad_on_support(fun, support: Support, abs_tol: float, breakpoints=()):
     lo, hi = support.lower, support.upper
     inner = [float(b) for b in breakpoints if lo < b < hi]
     if support.bounded:
-        return _adaptive_gk(fun, _first_panels(np.unique([lo, *inner, hi])), abs_tol)
+        edges = _first_panels(np.unique([lo, *inner, hi]))
+        ends = [lo + (edges[1] - lo) * _TAIL_GRADE, hi - (hi - edges[-2]) * _TAIL_GRADE]
+        return _adaptive_gk(fun, np.unique(np.concatenate([edges, *ends])), abs_tol)
 
     def transformed(t):
         # a node that rounds to t = 1 stands for x = +inf, where densities vanish

@@ -41,7 +41,6 @@ from .gpd import (
     GpParams,
     LevelPair,
     Support,
-    gp_cdf_vec,
     gp_pdf,
     gp_quantile_vec,
     threshold_shift,
@@ -94,9 +93,6 @@ class ExactGP:
     def quantile(self, u):
         return gp_quantile_vec(self.gamma, self.sigma, u)
 
-    def cdf(self, x):
-        return gp_cdf_vec(self.gamma, self.sigma, x)
-
     def conditional_excess_params(self, t: float) -> GpParams:
         """Exact law of the excess over ``t`` (threshold stability)."""
         return threshold_shift(GpParams(self.gamma, self.sigma), t)
@@ -117,13 +113,6 @@ class Pareto:
     def quantile(self, u):
         return (1.0 - np.asarray(u)) ** (-1.0 / self.alpha)
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape, dtype=float)
-        tail = x >= 1.0
-        out[tail] = 1.0 - x[tail] ** -self.alpha
-        return out
-
 
 @dataclass(frozen=True)
 class Frechet:
@@ -140,13 +129,6 @@ class Frechet:
     def quantile(self, u):
         u = np.asarray(u, dtype=float)
         return (-np.log(u)) ** (-1.0 / self.alpha)
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape, dtype=float)
-        pos = x > 0.0
-        out[pos] = np.exp(-(x[pos] ** -self.alpha))
-        return out
 
 
 @dataclass(frozen=True)
@@ -166,13 +148,6 @@ class Burr:
         u = np.asarray(u, dtype=float)
         return ((1.0 - u) ** (-1.0 / self.shape2) - 1.0) ** (1.0 / self.shape1)
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape, dtype=float)
-        pos = x > 0.0
-        out[pos] = 1.0 - (1.0 + x[pos] ** self.shape1) ** -self.shape2
-        return out
-
 
 @dataclass(frozen=True)
 class Exponential:
@@ -188,10 +163,6 @@ class Exponential:
 
     def quantile(self, u):
         return -np.log1p(-np.asarray(u, dtype=float)) / self.rate
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x <= 0.0, 0.0, -np.expm1(-self.rate * x))
 
 
 @dataclass(frozen=True)
@@ -213,11 +184,6 @@ class BetaTail:
         from scipy.special import betaincinv
 
         return betaincinv(self.a, self.b, np.asarray(u, dtype=float))
-
-    def cdf(self, x):
-        from scipy.special import betainc
-
-        return betainc(self.a, self.b, np.clip(np.asarray(x, dtype=float), 0.0, 1.0))
 
 
 Family = ExactGP | Pareto | Frechet | Burr | Exponential | BetaTail
@@ -757,7 +723,6 @@ class TsCoverageConfig:
     prior: PriorSpec | None = None
     burn: int = 200
     stride: int | None = None
-    ar_intercept: bool = True  # uncentered innovations need the intercept
 
     def __post_init__(self):
         _check_seed(self.seed, "ts-coverage")
@@ -784,7 +749,7 @@ def ts_coverage_experiment(cfg: TsCoverageConfig) -> list[dict]:
     u_test = rng.random(cfg.origins)
 
     def evaluate(method: str, j: int, seg):
-        ar = fit_ar(seg, 1, intercept=cfg.ar_intercept)
+        ar = fit_ar(seg, 1, intercept=True)  # uncentered innovations need the intercept
         rs = residual_pipeline(seg, ar)
         tau_i = 1.0 - cfg.k / rs.residuals.size
         ext_levels = LevelPair.from_tau_star(tau_i, cfg.tau_star)

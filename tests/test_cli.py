@@ -2,13 +2,20 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
+from functools import partial
 
 import jsonschema
 import numpy as np
 import pytest
 
 import tailcast
+from tailcast import cli
+from tailcast.bayes import SamplerConfig, default_prior
 from tailcast.cli import main
+from tailcast.simlab import (
+    ExperimentConfig, Exponential, Generator, KRule, Pareto, TsCoverageConfig,
+)
 
 SCHEMA_DIR = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -25,9 +32,9 @@ class TestStartup:
     """``import tailcast.cli`` and ``import tailcast`` load no scipy module.
 
     Brent's method is ported (``tailcast.roots``); ``minimize``, ``lfilter``
-    and ``betainc``/``betaincinv`` are imported on first use, and the
-    numeric shape-prior gate (``scipy.integrate``) runs only for a
-    ``CustomShape``.
+    and ``betaincinv`` are imported on first use.  The numeric shape-prior
+    gate, which runs only for a ``CustomShape``, integrates with
+    ``tailcast.density``, so no ``scipy.integrate`` is loaded at all.
     """
 
     @staticmethod
@@ -420,3 +427,102 @@ class TestSimulate:
             assert main(["simulate", "--config", str(cfg), "--out", prefix]) == 0
             blobs.append(open(prefix + ".csv", "rb").read())
         assert blobs[0] == blobs[1]
+
+
+class TestConfig:
+    """One reader checks every config section: a malformed section exits 3
+    with one ``error:`` line, and a key left out takes the library's default."""
+
+    SIM = {"experiment": "coverage", "generator": {"family": "pareto", "alpha": 2.0},
+           "n": 1_000, "k": {"kind": "fixed", "k": 50}, "replications": 50}
+    TS = {**SIM, "experiment": "ts-coverage", "ts": {"window": 400, "origins": 20}}
+    PARETO = {"family": "pareto", "alpha": 2.0}
+
+    @pytest.mark.parametrize("command,cfg,message", [
+        ("fit", {"sampler": 5}, "sampler must be a JSON object"),
+        ("fit", {"sampler": {"seed": "abc"}}, "bad value for sampler.seed"),
+        ("fit", {"prior": 3}, "prior must be a JSON object"),
+        ("fit", {"prior": {"shape": {"kind": "uniform-window"}}}, "prior.shape needs lo, hi"),
+        ("fit", {"prior": {"scale": {"kind": "data-dependent", "shape": "q"}}},
+         "bad value for prior.scale.shape"),
+        ("fit", {"prior": {"shape": {"kind": "flat"}}}, "unknown prior.shape kind 'flat'"),
+        ("fit", {"prior": {"scale": {"kind": "data-dependent", "base": "lognormal"}}},
+         "bad value for prior.scale.base"),
+        ("simulate", {**SIM, "generator": {"family": "pareto"}}, "generator needs alpha"),
+        ("simulate", {**SIM, "generator": {"family": "pareto", "alpha": "x"}},
+         "bad value for generator.alpha"),
+        ("simulate", {**SIM, "k": 7}, "k must be a JSON object"),
+        ("simulate", {**SIM, "n_ladder": 5}, "bad value for simulation config.n_ladder"),
+        ("simulate", {**SIM, "levels": {"value": "a"}}, "bad value for levels.value"),
+        ("simulate", {**TS, "ts": {"window": None}}, "bad value for ts.window"),
+        ("simulate", {**SIM, "methods": 5}, "bad value for simulation config.methods"),
+        ("simulate", {**SIM, "experiment": "x"}, "bad value for simulation config.experiment"),
+        ("simulate", {"experiment": "coverage"}, "simulation config needs generator"),
+        # every chain there is reseeded, so a sampler seed would do nothing
+        ("ts", {"sampler": {"seed": 1}}, "each chain is seeded from --seed"),
+        ("simulate", {**SIM, "sampler": {"seed": 1}},
+         "each chain is seeded from the top-level seed or --seed"),
+        ("simulate", {**TS, "sampler": {"seed": 1}}, "each chain is seeded from the top-level"),
+        # an unknown key in each section
+        ("fit", {"sampler": {"bogus": 1}}, "unknown keys in sampler: ['bogus']"),
+        ("ts", {"sampler": {"bogus": 1}}, "unknown keys in sampler: ['bogus']"),
+        ("fit", {"prior": {"bogus": 1}}, "unknown keys in prior: ['bogus']"),
+        ("fit", {"prior": {"shape": {"kind": "truncated-normal", "bogus": 1}}},
+         "unknown keys in prior.shape: ['bogus']"),
+        ("fit", {"prior": {"shape": {"kind": "uniform-window", "lo": 0, "hi": 1, "bogus": 1}}},
+         "unknown keys in prior.shape: ['bogus']"),
+        ("fit", {"prior": {"scale": {"kind": "data-dependent", "bogus": 1}}},
+         "unknown keys in prior.scale: ['bogus']"),
+        ("fit", {"prior": {"scale": {"kind": "log-uniform", "bogus": 1}}},
+         "unknown keys in prior.scale: ['bogus']"),
+        ("simulate", {**SIM, "bogus": 1}, "unknown keys in simulation config: ['bogus']"),
+        ("simulate", {**SIM, "generator": {**PARETO, "bogus": 1}},
+         "unknown keys in generator: ['bogus']"),
+        ("simulate", {**SIM, "k": {"bogus": 1}}, "unknown keys in k: ['bogus']"),
+        ("simulate", {**SIM, "levels": {"bogus": 1}}, "unknown keys in levels: ['bogus']"),
+        ("simulate", {**TS, "ts": {"bogus": 1}}, "unknown keys in ts: ['bogus']"),
+        ("simulate", {**SIM, "sampler": {"bogus": 1}}, "unknown keys in sampler: ['bogus']"),
+    ])
+    def test_malformed_config_exits_3(self, exp_csv, series_csv, tmp_path, capsys,
+                                      command, cfg, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        argv = {
+            "fit": ["fit", "--input", exp_csv, "--k", "200", "--method", "bayes"],
+            "ts": ["ts", "--input", series_csv, "--k", "100", "--window", "1000",
+                   "--stride", "1000", "--method", "bayes"],
+            "simulate": ["simulate"],
+        }[command]
+        assert main([*argv, "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert message in err
+        assert not list(tmp_path.glob("out*"))
+
+    def test_empty_sections_read_as_library_defaults(self):
+        for value in (None, {}):
+            assert cli._sampler(value, partial(SamplerConfig, seed=7)) == SamplerConfig(seed=7)
+        ref = default_prior(2.0)
+        for cfg in ({}, {"prior": {}}, {"prior": {"shape": {"kind": "truncated-normal"},
+                                                  "scale": {"kind": "data-dependent"}}}):
+            prior = cli._prior(cfg, 2.0)
+            assert prior.shape == ref.shape and prior.scale.anchor == ref.scale.anchor
+            for sigma in (0.1, 1.0, 7.0):
+                assert prior.scale.log_density(sigma) == ref.scale.log_density(sigma)
+        exponential = {"family": "exponential"}
+        assert cli._section(exponential, cli._FAMILIES, "generator", "family") == Exponential()
+
+        run = ExperimentConfig(Generator(Pareto(2.0), seed=5), 10_000, KRule(), seed=5)
+        ts_run = TsCoverageConfig(phi=0.6, innovations=Pareto(2.0), seed=5)
+        for extra in ({}, {"k": {}, "levels": {}, "sampler": {}, "ts": {}}):
+            cfg = {"generator": self.PARETO, **extra}
+            assert cli._simulation({"experiment": "coverage", **cfg}, 5) == ("coverage", run)
+            assert cli._simulation({"experiment": "ts-coverage", **cfg}, 5) == (
+                "ts-coverage", ts_run)
+
+    def test_simulation_sampler_reads_over_the_run_defaults(self):
+        # the experiments' own short chains, not the commands' long ones
+        cfg = {"experiment": "coverage", "generator": self.PARETO, "sampler": {"draws": 100}}
+        _, run = cli._simulation(cfg, 0)
+        default = ExperimentConfig(Generator(Pareto(2.0)), 10_000, KRule()).sampler
+        assert run.sampler == replace(default, draws=100) != SamplerConfig(draws=100)

@@ -182,11 +182,10 @@ def test_integrate_density_matches_reference(gamma, sigma):
     assert abs(ref - 1.0) <= 1e-9
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "the first round's 16 panels on [0, 1e5] put no node within 26 scales of "
-    "the mass at 0, so the K15 - G7 gap is tiny and the wrong sum passes"))
 def test_integrate_density_on_a_wide_bounded_support():
-    # GP(-1e-5, 1) lives on [0, 1e5]; `density._adaptive_gk` returns 1.81e-10
+    # GP(-1e-5, 1) lives on [0, 1e5], its mass within a few units of 0: only
+    # the first round's panels graded toward 0 put nodes there (the 16 equal
+    # panels alone gave 1.81e-10)
     total = integrate_density(_pdf(GpParams(-1e-5, 1.0)), Support(0.0, 1e5))
     assert total == pytest.approx(1.0, abs=1e-8)
 

@@ -1,6 +1,6 @@
 """Every module, test and benchmark script parses as Python 3.10, the oldest
 version CI runs (its 3.10 leg runs ``perfbench/run.py --smoke``); and the
-package's GP math stays written once."""
+package's GP math and its quadrature rule stay written once."""
 
 import ast
 from pathlib import Path
@@ -45,3 +45,25 @@ def test_zero_shape_band_lives_in_gpd():
         p.name for p in ROOT.glob("src/tailcast/*.py") if "GAMMA_ZERO_TOL" in _names(p)
     )
     assert users == ["gpd.py"]
+
+
+def _imports(path: Path) -> set[str]:
+    """Every module a file imports, and each ``from`` import's dotted names."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            found.add(node.module)
+            found.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return found
+
+
+def test_one_quadrature_rule():
+    """The package integrates with ``density``'s Gauss–Kronrod rule alone:
+    no module imports ``scipy.integrate``."""
+    users = sorted(
+        p.name for p in ROOT.glob("src/tailcast/*.py")
+        if any(m == "scipy.integrate" or m.startswith("scipy.integrate.") for m in _imports(p))
+    )
+    assert users == []
