@@ -10,7 +10,6 @@ failures.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import math
 import sys
@@ -29,7 +28,13 @@ from .bayes import (
     gamma_base_log_density,
     posterior_summary,
 )
-from .errors import DomainError, EstimationError, NumericError, SamplerError, TailcastError
+from .errors import (
+    DomainError,
+    EstimationError,
+    NumericError,
+    SamplerError,
+    TailcastError,
+)
 from .estimation import endpoint_estimate, pwm_scale, select_exceedances, SortedSample
 from .gpd import LevelPair
 from .predict import (
@@ -84,34 +89,28 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _section(value, spec, context: str, tag: str = "kind"):
-    """The object a config section describes: ``build(**values)``.
-
-    ``spec`` is a pair ``(build, table)``: ``table`` maps each key the
-    section may hold to the converter of its value, and a key the section
-    leaves out takes ``build``'s default (a null section reads as an empty
-    one).  A ``spec`` dict instead maps each value of the section's ``tag``
-    key, a prior's ``kind`` or a generator's ``family``, to such a pair.
-    Every fault is a :class:`DomainError`: a section that is not a JSON
-    object, an unknown tag or key, a value its converter refuses, or a
-    missing key that ``build`` requires.
-    """
+def _object(value, context: str) -> dict:
+    """A config section as a dict; a null section reads as an empty one."""
     value = {} if value is None else value
     if not isinstance(value, dict):
         raise DomainError(f"{context} must be a JSON object, got {value!r}")
-    if isinstance(spec, dict):
-        value = dict(value)
-        name = value.pop(tag, None)
-        if not isinstance(name, str) or name not in spec:
-            raise DomainError(f"unknown {context} {tag} {name!r}")
-        spec = spec[name]
-    build, table = spec
+    return value
+
+
+def _section(value, build, table: dict, context: str, required=()):
+    """The object a config section describes: ``build(**values)``.
+
+    ``table`` maps each key the section may hold to the converter of its
+    value.  A key the section leaves out takes ``build``'s default; the keys
+    in ``required`` may not be left out.  Every fault is a
+    :class:`DomainError`: a section that is not a JSON object, an unknown or
+    missing key, or a value its converter refuses.
+    """
+    value = _object(value, context)
     unknown = set(value) - set(table)
     if unknown:
         raise DomainError(f"unknown keys in {context}: {sorted(unknown)}")
-    params = inspect.signature(build).parameters.values()
-    absent = table.keys() - value
-    missing = [p.name for p in params if p.name in absent and p.default is p.empty]
+    missing = [key for key in required if key not in value]
     if missing:
         raise DomainError(f"{context} needs {', '.join(missing)}")
     kwargs = {}
@@ -123,6 +122,17 @@ def _section(value, spec, context: str, tag: str = "kind"):
         except (TypeError, ValueError) as exc:
             raise DomainError(f"bad value for {context}.{key}: {val!r} ({exc})") from None
     return build(**kwargs)
+
+
+def _variant(value, variants: dict, context: str, tag: str = "kind"):
+    """A section whose ``tag`` key, a prior's kind or a generator's family,
+    picks its ``(build, table, required)`` from ``variants``."""
+    rest = dict(_object(value, context))
+    name = rest.pop(tag, None)
+    if not isinstance(name, str) or name not in variants:
+        raise DomainError(f"unknown {context} {tag} {name!r}")
+    build, table, required = variants[name]
+    return _section(rest, build, table, context, required)
 
 
 def _one_of(*names):
@@ -137,39 +147,51 @@ def _one_of(*names):
 _SAMPLER = {key: int for key in ("seed", "burn_in", "draws", "thin", "adapt_interval")}
 
 
-def _sampler(value, build, reseeded_by: str | None = None) -> SamplerConfig:
-    """The ``sampler`` section over ``build``'s defaults.  Where every chain is
-    reseeded from ``reseeded_by``, a ``seed`` would do nothing, so it is refused."""
-    if reseeded_by and isinstance(value, dict) and "seed" in value:
+def _sampler_keys(value, reseeded_by: str | None = None) -> dict:
+    """The ``sampler`` section's values.  Where every chain is reseeded from
+    ``reseeded_by``, a ``seed`` would do nothing, so it is refused."""
+    keys = _section(value, dict, _SAMPLER, "sampler")
+    if reseeded_by and "seed" in keys:
         raise DomainError(
             f"sampler.seed has no effect here: each chain is seeded from {reseeded_by}"
         )
-    return _section(value, (build, _SAMPLER), "sampler")
+    return keys
 
 
 _SHAPES = {
-    "truncated-normal": (TruncatedNormalShape, {"mean": float, "sd": float}),
-    "uniform-window": (UniformWindowShape, {"lo": float, "hi": float}),
+    "truncated-normal": (TruncatedNormalShape, {"mean": float, "sd": float}, ()),
+    "uniform-window": (UniformWindowShape, {"lo": float, "hi": float}, ("lo", "hi")),
 }
 
 
-def _prior(cfg: dict, anchor: float) -> PriorSpec:
-    """The ``prior`` section over :func:`default_prior` at the scale ``anchor``."""
-    def data_dependent(base=None, **kw):  # Gamma(shape, rate) is the only base
-        return DataDependentScale(gamma_base_log_density(**kw), anchor)
+def _data_dependent(base=None, **gamma):  # Gamma(shape, rate) is the only base
+    return partial(DataDependentScale, gamma_base_log_density(**gamma))
 
-    scales = {
-        "data-dependent": (
-            data_dependent, {"base": _one_of("gamma"), "shape": float, "rate": float}
-        ),
-        "log-uniform": (LogUniformScale, {}),
-    }
+
+# each scale prior reads as a function of the data's scale anchor
+_SCALES = {
+    "data-dependent": (
+        _data_dependent, {"base": _one_of("gamma"), "shape": float, "rate": float}, ()
+    ),
+    "log-uniform": (lambda: lambda anchor: LogUniformScale(), {}, ()),
+}
+
+
+def _prior(value):
+    """The ``prior`` section, read once, as a function of the scale anchor.
+    A part the section leaves out is :func:`default_prior`'s."""
     table = {
-        "shape": lambda v: _section(v, _SHAPES, "prior.shape"),
-        "scale": lambda v: _section(v, scales, "prior.scale"),
+        "shape": lambda v: _variant(v, _SHAPES, "prior.shape"),
+        "scale": lambda v: _variant(v, _SCALES, "prior.scale"),
     }
-    build = partial(replace, default_prior(anchor))
-    return _section(cfg.get("prior"), (build, table), "prior")
+    parts = _section(value, dict, table, "prior")
+
+    def prior(anchor: float) -> PriorSpec:
+        default = default_prior(anchor)
+        scale = parts["scale"](anchor) if "scale" in parts else default.scale
+        return PriorSpec(parts.get("shape", default.shape), scale)
+
+    return prior
 
 
 def _write_out(args, text: str) -> None:
@@ -205,20 +227,26 @@ def _interval(iv) -> dict:
     return {"lower": iv.lower, "upper": iv.upper, "alpha": iv.alpha}
 
 
-def _fit_tail(sample: SortedSample, k: int, args, cfg: dict) -> TailFit:
-    """Tail fit of the top ``k`` order statistics; Bayes reads the config."""
-    e = select_exceedances(sample, k)
+def _tail_fitter(args, cfg: dict):
+    """``fit(sample, k)``, the tail fit of the top ``k`` order statistics.
+    A Bayes fit reads the config's sampler and prior here, once."""
     if args.method != "bayes":
-        return fit_tail(e, args.method)
-    sampler = _sampler(cfg.get("sampler"), partial(SamplerConfig, seed=args.seed))
-    return fit_tail(e, "bayes", _prior(cfg, pwm_scale(e)), sampler)
+        return lambda sample, k: fit_tail(select_exceedances(sample, k), args.method)
+    sampler = SamplerConfig(**{"seed": args.seed, **_sampler_keys(cfg.get("sampler"))})
+    prior = _prior(cfg.get("prior"))
+
+    def fit(sample: SortedSample, k: int) -> TailFit:
+        e = select_exceedances(sample, k)
+        return fit_tail(e, "bayes", prior(pwm_scale(e)), sampler)
+
+    return fit
 
 
 def cmd_fit(args) -> int:
     cfg = _load_config(args.config)
     data = tio.read_numeric_csv(args.input)
     sample = SortedSample.from_data(data)
-    tail = _fit_tail(sample, args.k, args, cfg)
+    tail = _tail_fitter(args, cfg)(sample, args.k)
     e, fit, ps = tail.e, tail.fit, tail.posterior
     report = {
         "command": "fit",
@@ -255,7 +283,9 @@ def cmd_fit(args) -> int:
                 "ci_gamma": list(summary.ci_gamma),
                 "ci_sigma": list(summary.ci_sigma),
                 "endpoint_mean": summary.endpoint_mean,
-                "ci_endpoint": list(summary.ci_endpoint) if summary.ci_endpoint else None,
+                "ci_endpoint": list(summary.ci_endpoint)
+                if summary.ci_endpoint
+                else None,
                 "prob_finite_endpoint": summary.prob_finite_endpoint,
             },
         )
@@ -285,7 +315,7 @@ def cmd_predict(args) -> int:
         # the return-period rule dictates its own effective sample size
         rule = extreme_level_from_return_period(args.return_period, sample.n)
         k = rule.k
-    tail = _fit_tail(sample, k, args, cfg)
+    tail = _tail_fitter(args, cfg)(sample, k)
     e = tail.e
     levels = _levels_for_args(args, e, tail.gamma, rule)
     model = tail.at(levels)
@@ -317,8 +347,12 @@ def cmd_predict(args) -> int:
         lo = args.grid_lo if args.grid_lo is not None else model.quantile(0.0)
         hi = args.grid_hi if args.grid_hi is not None else model.quantile(0.995)
         grid = prediction_grid(model, lo, hi, args.grid_points)
-        grid_path = args.grid_out or (args.out or "prediction") + ".grid.csv"
-        rows = [{"y": float(r[0]), "pdf": float(r[1]), "cdf": float(r[2])} for r in grid]
+        grid_path = args.grid_out or (
+            (args.out or "prediction") + ".grid.csv"
+        )
+        rows = [
+            {"y": float(r[0]), "pdf": float(r[1]), "cdf": float(r[2])} for r in grid
+        ]
         tio.write_csv_rows(grid_path, rows, ["y", "pdf", "cdf"])
         report["grid_path"] = grid_path
     _emit(args, report)
@@ -335,8 +369,10 @@ def _risk_return_level_table(args, sample: SortedSample, cfg: dict) -> int:
     if start < 2 or stop <= start or step < 1:
         raise DomainError(f"bad return-period range {args.return_periods!r}")
 
+    fit = _tail_fitter(args, cfg)
+
     def factory(k, levels):
-        return _fit_tail(sample, k, args, cfg).at(levels)
+        return fit(sample, k).at(levels)
 
     rows = return_level_curve(factory, sample.n, range(start, stop + 1, step), args.alpha)
     cols = ["T", "tau_e", "k", "point", "lower", "upper", "error"]
@@ -352,7 +388,7 @@ def cmd_risk(args) -> int:
         return _risk_return_level_table(args, sample, cfg)
     if args.tau_e is None:
         raise DomainError("risk needs --tau-e (or --return-periods for a table)")
-    tail = _fit_tail(sample, args.k, args, cfg)
+    tail = _tail_fitter(args, cfg)(sample, args.k)
     e = tail.e
     if args.tau_e < e.tau_i:
         raise DomainError(
@@ -382,8 +418,7 @@ def cmd_ts(args) -> int:
     data = tio.read_numeric_csv(args.input, columns=columns)
     sampler = None
     if args.method == "bayes":
-        build = partial(SamplerConfig, seed=args.seed)
-        sampler = _sampler(cfg.get("sampler"), build, reseeded_by="--seed")
+        sampler = SamplerConfig(seed=args.seed, **_sampler_keys(cfg.get("sampler"), "--seed"))
     rolling = RollingConfig(
         filter=args.filter,
         ar_order=args.ar_order,
@@ -407,12 +442,12 @@ def cmd_ts(args) -> int:
 
 
 _FAMILIES = {
-    "exact-gp": (ExactGP, {"gamma": float, "sigma": float}),
-    "pareto": (Pareto, {"alpha": float}),
-    "frechet": (Frechet, {"alpha": float}),
-    "burr": (Burr, {"shape1": float, "shape2": float}),
-    "exponential": (Exponential, {"rate": float}),
-    "beta-tail": (BetaTail, {"a": float, "b": float}),
+    "exact-gp": (ExactGP, {"gamma": float, "sigma": float}, ("gamma", "sigma")),
+    "pareto": (Pareto, {"alpha": float}, ("alpha",)),
+    "frechet": (Frechet, {"alpha": float}, ("alpha",)),
+    "burr": (Burr, {"shape1": float, "shape2": float}, ("shape1", "shape2")),
+    "exponential": (Exponential, {"rate": float}, ()),
+    "beta-tail": (BetaTail, {"a": float, "b": float}, ("a", "b")),
 }
 
 _EXPERIMENTS = {
@@ -423,51 +458,42 @@ _EXPERIMENTS = {
     "ts-coverage": ts_coverage_experiment,
 }
 
-
-def _simulation_keys(experiment, generator, **keys) -> dict:
-    # a simulation config's keys, converted: only these two are required
-    return {"experiment": experiment, "generator": generator, **keys}
-
-
 _K_RULE = {"kind": str, "k": int, "coef": float, "delta": float, "eta": float}
-_SIMULATION = (_simulation_keys, {
+_TS = {
+    "phi": float, "window": int, "origins": int, "k": int, "tau_star": float,
+    "alpha": float, "burn": int, "stride": int,
+}
+_SIMULATION = {
     "experiment": _one_of(*_EXPERIMENTS),
-    "generator": lambda v: _section(v, _FAMILIES, "generator", tag="family"),
+    "generator": lambda v: _variant(v, _FAMILIES, "generator", tag="family"),
     "n": int,
     "n_ladder": lambda v: tuple(int(n) for n in v) if v else None,
-    "k": lambda v: _section(v, (KRule, _K_RULE), "k"),
-    "levels": lambda v: _section(v, (LevelRule, {"kind": str, "value": float}), "levels"),
+    "k": lambda v: _section(v, KRule, _K_RULE, "k"),
+    "levels": lambda v: _section(v, LevelRule, {"kind": str, "value": float}, "levels"),
     "alpha": float,
     "replications": int,
     "methods": tuple,
     "seed": int,
     "rel_err_tol": float,
-    "sampler": lambda v: v,  # read below, over the run's own defaults
-    "ts": lambda v: v,
-})
-
-_TS = {
-    "phi": float, "window": int, "origins": int, "k": int, "tau_star": float,
-    "alpha": float, "burn": int, "stride": int,
+    "sampler": partial(_sampler_keys, reseeded_by="the top-level seed or --seed"),
+    "ts": lambda v: _section(v, dict, _TS, "ts"),
 }
 
 
 def _simulation(cfg: dict, seed: int):
     """``(experiment, run config)`` of a simulation config; ``seed`` is --seed."""
-    sim = _section(cfg, _SIMULATION, "simulation config")
+    sim = _section(cfg, dict, _SIMULATION, "simulation config", ("experiment", "generator"))
     experiment, family = sim.pop("experiment"), sim.pop("generator")
-    ts, sampler = sim.pop("ts", None), sim.pop("sampler", None)
+    ts, sampler = sim.pop("ts", {}), sim.pop("sampler", {})
     seed = sim.setdefault("seed", seed)
     if experiment == "ts-coverage":
         shared = {key: sim[key] for key in ("methods", "seed") if key in sim}
-        build = partial(TsCoverageConfig, phi=0.6, innovations=family, **shared)
-        run = _section(ts, (build, _TS), "ts")
+        run = TsCoverageConfig(innovations=family, **{"phi": 0.6, **ts}, **shared)
     else:
         generator = Generator(family, seed=seed)
         rules = sim.pop("k", KRule()), sim.pop("levels", LevelRule())
         run = ExperimentConfig(generator, sim.pop("n", 10_000), *rules, **sim)
-    sampler = _sampler(sampler, partial(replace, run.sampler), "the top-level seed or --seed")
-    return experiment, replace(run, sampler=sampler)
+    return experiment, replace(run, sampler=replace(run.sampler, **sampler))
 
 
 def cmd_simulate(args) -> int:
@@ -492,7 +518,9 @@ def build_parser() -> _Parser:
         p.add_argument("--input", required=True, help="CSV with one numeric column")
         if with_k:
             p.add_argument("--k", type=int, required=True, help="effective sample size")
-        p.add_argument("--method", choices=("ml", "pwm", "bayes"), default="ml")
+        p.add_argument(
+            "--method", choices=("ml", "pwm", "bayes"), default="ml"
+        )
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--config", default=None, help="JSON config (sampler, prior)")
         p.add_argument("--out", default=None, help="output path (default stdout)")
@@ -525,7 +553,9 @@ def build_parser() -> _Parser:
     common(p_ts)
     p_ts.add_argument("--window", type=int, required=True)
     p_ts.add_argument("--stride", type=int, required=True)
-    p_ts.add_argument("--filter", choices=("ar", "garch11", "external"), default="ar")
+    p_ts.add_argument(
+        "--filter", choices=("ar", "garch11", "external"), default="ar"
+    )
     p_ts.add_argument("--ar-order", type=int, default=1)
     p_ts.add_argument("--tau-e", type=float, default=0.999)
     p_ts.add_argument("--alpha", type=float, default=0.01)

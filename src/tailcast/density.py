@@ -68,13 +68,14 @@ def _first_panels(edges: np.ndarray) -> np.ndarray:
     return np.unique(np.concatenate([edges, cuts.ravel()]))
 
 
-def _adaptive_gk(fun, edges: np.ndarray, abs_tol: float) -> float:
+def _adaptive_gk(fun, edges: np.ndarray, abs_tol: float, rel_tol: float = 0.0) -> float:
     """Integral of ``fun`` over the panels between consecutive ``edges``.
 
     Stops when the summed ``|K15 - G7|`` over all panels is at most
-    ``abs_tol``; each round bisects the largest-error panels that together
-    hold half of that sum, and raises :class:`NumericError` rather than
-    pass ``_MAX_PANELS`` panels.
+    ``abs_tol`` or ``rel_tol`` times the estimate's size, whichever is
+    larger; each round bisects the largest-error panels that together hold
+    half of that sum, and raises :class:`NumericError` rather than pass
+    ``_MAX_PANELS`` panels.
     """
     lo = hi = val = err = np.empty(0)
     new_lo, new_hi = edges[:-1], edges[1:]
@@ -90,15 +91,16 @@ def _adaptive_gk(fun, edges: np.ndarray, abs_tol: float) -> float:
         hi = np.concatenate([hi, new_hi])
         val = np.concatenate([val, kronrod])
         err = np.concatenate([err, np.abs(kronrod - half * (y @ _GAUSS))])
-        total_err = float(np.sum(err))
-        if total_err <= abs_tol:
-            return float(np.sum(val))
+        total_err, estimate = float(np.sum(err)), float(np.sum(val))
+        tol = max(abs_tol, rel_tol * abs(estimate))
+        if total_err <= tol:
+            return estimate
         order = np.argsort(err)[::-1]
         n_split = int(np.searchsorted(np.cumsum(err[order]), 0.5 * total_err)) + 1
         if lo.size + n_split > _MAX_PANELS:
             raise NumericError(
-                f"quadrature did not converge: estimate={float(np.sum(val))!r}, "
-                f"abs error={total_err!r} > {abs_tol!r} with {lo.size} panels"
+                f"quadrature did not converge: estimate={estimate!r}, "
+                f"abs error={total_err!r} > {tol!r} with {lo.size} panels"
             )
         split = order[:n_split]
         mid = 0.5 * (lo[split] + hi[split])
@@ -109,7 +111,7 @@ def _adaptive_gk(fun, edges: np.ndarray, abs_tol: float) -> float:
         lo, hi, val, err = lo[keep], hi[keep], val[keep], err[keep]
 
 
-def _quad_on_support(fun, support: Support, abs_tol: float, breakpoints=()):
+def _quad_on_support(fun, support: Support, abs_tol: float, breakpoints=(), rel_tol=0.0):
     """Adaptive quadrature of the array function ``fun`` over ``support``.
 
     ``breakpoints`` flags known discontinuities (e.g. density onsets), which
@@ -120,7 +122,7 @@ def _quad_on_support(fun, support: Support, abs_tol: float, breakpoints=()):
     if support.bounded:
         edges = _first_panels(np.unique([lo, *inner, hi]))
         ends = [lo + (edges[1] - lo) * _TAIL_GRADE, hi - (hi - edges[-2]) * _TAIL_GRADE]
-        return _adaptive_gk(fun, np.unique(np.concatenate([edges, *ends])), abs_tol)
+        return _adaptive_gk(fun, np.unique(np.concatenate([edges, *ends])), abs_tol, rel_tol)
 
     def transformed(t):
         # a node that rounds to t = 1 stands for x = +inf, where densities vanish
@@ -133,14 +135,18 @@ def _quad_on_support(fun, support: Support, abs_tol: float, breakpoints=()):
     ts = [(b - lo) / (1.0 + b - lo) for b in inner]
     edges = _first_panels(np.unique([0.0, *ts, 1.0]))
     edges = np.unique(np.concatenate([edges, 1.0 - (1.0 - edges[-2]) * _TAIL_GRADE]))
-    return _adaptive_gk(transformed, edges, abs_tol)
+    return _adaptive_gk(transformed, edges, abs_tol, rel_tol)
 
 
 def integrate_density(
     pdf, support: Support, abs_tol: float = _ABS_TOL, breakpoints=()
 ) -> float:
-    """Integral of a density over its support (normalization check)."""
-    return _quad_on_support(pdf, support, abs_tol, breakpoints)
+    """Integral of a density over its support (normalization check).
+
+    The error estimate must fall within ``abs_tol`` times the larger of 1
+    and the integral: an unnormalized density's mass has no fixed size.
+    """
+    return _quad_on_support(pdf, support, abs_tol, breakpoints, rel_tol=abs_tol)
 
 
 def hellinger(

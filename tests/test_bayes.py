@@ -58,6 +58,23 @@ class TestPriorGate:
                 LogUniformScale(),
             )
 
+    @pytest.mark.parametrize("offset", [0.0, 15.0, 60.0, 200.0])
+    def test_integrable_shape_with_a_log_offset_passes(self, offset):
+        # an unnormalized shape: its mass, e^offset times a normal's, sets no
+        # scale for the quadrature's tolerance
+        PriorSpec(
+            CustomShape(lambda g: offset - 0.5 * ((g - 0.5) / 0.1) ** 2, hi=1.0),
+            LogUniformScale(),
+        )
+
+    @pytest.mark.parametrize("offset", [0.0, 15.0, 60.0, 200.0])
+    def test_nonintegrable_shape_with_a_log_offset_rejected(self, offset):
+        with pytest.raises(PriorError, match="not integrable"):
+            PriorSpec(
+                CustomShape(lambda g: offset - 1.5 * math.log(g + 0.5), hi=1.0),
+                LogUniformScale(),
+            )
+
     def test_unbounded_positive_shape_rejected(self):
         # density exp(gamma) is unbounded on the positive half-line
         with pytest.raises(PriorError):

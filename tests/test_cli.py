@@ -3,7 +3,6 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
-from functools import partial
 
 import jsonschema
 import numpy as np
@@ -455,6 +454,15 @@ class TestConfig:
         ("simulate", {**SIM, "n_ladder": 5}, "bad value for simulation config.n_ladder"),
         ("simulate", {**SIM, "levels": {"value": "a"}}, "bad value for levels.value"),
         ("simulate", {**TS, "ts": {"window": None}}, "bad value for ts.window"),
+        # the return-level table reads the config once, before its loop
+        ("risk-table", {"sampler": 5}, "sampler must be a JSON object"),
+        ("risk-table", {"sampler": {"seed": "abc"}}, "bad value for sampler.seed"),
+        ("risk-table", {"prior": 3}, "prior must be a JSON object"),
+        ("risk-table", {"prior": {"scale": {"kind": "data-dependent", "shape": "q"}}},
+         "bad value for prior.scale.shape"),
+        # a ts section is checked whatever the experiment
+        ("simulate", {**SIM, "ts": 5}, "ts must be a JSON object"),
+        ("simulate", {**SIM, "ts": {"window": "x"}}, "bad value for ts.window"),
         ("simulate", {**SIM, "methods": 5}, "bad value for simulation config.methods"),
         ("simulate", {**SIM, "experiment": "x"}, "bad value for simulation config.experiment"),
         ("simulate", {"experiment": "coverage"}, "simulation config needs generator"),
@@ -489,6 +497,8 @@ class TestConfig:
         path.write_text(json.dumps(cfg))
         argv = {
             "fit": ["fit", "--input", exp_csv, "--k", "200", "--method", "bayes"],
+            "risk-table": ["risk", "--input", exp_csv, "--k", "200", "--method", "bayes",
+                           "--return-periods", "20:40:10"],
             "ts": ["ts", "--input", series_csv, "--k", "100", "--window", "1000",
                    "--stride", "1000", "--method", "bayes"],
             "simulate": ["simulate"],
@@ -501,16 +511,16 @@ class TestConfig:
 
     def test_empty_sections_read_as_library_defaults(self):
         for value in (None, {}):
-            assert cli._sampler(value, partial(SamplerConfig, seed=7)) == SamplerConfig(seed=7)
+            assert cli._sampler_keys(value) == {}
         ref = default_prior(2.0)
-        for cfg in ({}, {"prior": {}}, {"prior": {"shape": {"kind": "truncated-normal"},
-                                                  "scale": {"kind": "data-dependent"}}}):
-            prior = cli._prior(cfg, 2.0)
+        for value in (None, {}, {"shape": {"kind": "truncated-normal"},
+                                 "scale": {"kind": "data-dependent"}}):
+            prior = cli._prior(value)(2.0)
             assert prior.shape == ref.shape and prior.scale.anchor == ref.scale.anchor
             for sigma in (0.1, 1.0, 7.0):
                 assert prior.scale.log_density(sigma) == ref.scale.log_density(sigma)
         exponential = {"family": "exponential"}
-        assert cli._section(exponential, cli._FAMILIES, "generator", "family") == Exponential()
+        assert cli._variant(exponential, cli._FAMILIES, "generator", "family") == Exponential()
 
         run = ExperimentConfig(Generator(Pareto(2.0), seed=5), 10_000, KRule(), seed=5)
         ts_run = TsCoverageConfig(phi=0.6, innovations=Pareto(2.0), seed=5)
