@@ -460,6 +460,7 @@ class TestConfig:
         ("risk-table", {"prior": 3}, "prior must be a JSON object"),
         ("risk-table", {"prior": {"scale": {"kind": "data-dependent", "shape": "q"}}},
          "bad value for prior.scale.shape"),
+        ("risk-table", {"sampler": {"draws": 0}}, "sampler configuration counts are out of range"),
         # a ts section is checked whatever the experiment
         ("simulate", {**SIM, "ts": 5}, "ts must be a JSON object"),
         ("simulate", {**SIM, "ts": {"window": "x"}}, "bad value for ts.window"),
