@@ -76,7 +76,8 @@ class _Parser(argparse.ArgumentParser):
         raise DomainError(message)
 
 
-def _load_config(path: str | None) -> dict:
+def _load_config(path: str | None, table: dict | None = None) -> dict:
+    """The ``--config`` object; with ``table``, a key outside it exits 3."""
     if path is None:
         return {}
     with open(path) as fh:
@@ -86,7 +87,7 @@ def _load_config(path: str | None) -> dict:
             raise DomainError(f"config file {path!r} is not valid JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise DomainError("config file must hold a JSON object")
-    return cfg
+    return cfg if table is None else _section(cfg, dict, table, "config")
 
 
 def _object(value, context: str) -> dict:
@@ -122,6 +123,16 @@ def _section(value, build, table: dict, context: str, required=()):
         except (TypeError, ValueError) as exc:
             raise DomainError(f"bad value for {context}.{key}: {val!r} ({exc})") from None
     return build(**kwargs)
+
+
+def _no_prior(value):
+    if value is not None:
+        raise DomainError("ts samples under the default prior: a prior section does nothing")
+
+
+# a command's top level: Bayes runs read both, ML runs accept them (shared configs)
+_COMMAND = {"sampler": lambda v: v, "prior": lambda v: v}
+_TS_COMMAND = {"sampler": lambda v: v, "prior": _no_prior}
 
 
 def _variant(value, variants: dict, context: str, tag: str = "kind"):
@@ -243,7 +254,7 @@ def _tail_fitter(args, cfg: dict):
 
 
 def cmd_fit(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, _COMMAND)
     data = tio.read_numeric_csv(args.input)
     sample = SortedSample.from_data(data)
     tail = _tail_fitter(args, cfg)(sample, args.k)
@@ -303,7 +314,7 @@ def _levels_for_args(args, e, gamma: float, rule):
 
 
 def cmd_predict(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, _COMMAND)
     data = tio.read_numeric_csv(args.input)
     sample = SortedSample.from_data(data)
     chosen = [x is not None for x in (args.tau_e, args.c, args.return_period)]
@@ -381,7 +392,7 @@ def _risk_return_level_table(args, sample: SortedSample, cfg: dict) -> int:
 
 
 def cmd_risk(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, _COMMAND)
     data = tio.read_numeric_csv(args.input)
     sample = SortedSample.from_data(data)
     if args.return_periods:
@@ -413,7 +424,7 @@ def cmd_risk(args) -> int:
 
 
 def cmd_ts(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, _TS_COMMAND)
     columns = 3 if args.filter == "external" else 1
     data = tio.read_numeric_csv(args.input, columns=columns)
     sampler = None

@@ -10,6 +10,7 @@ environment-dependent content, making byte-identical reruns possible.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import json
 import math
@@ -57,31 +58,42 @@ def read_numeric_csv(path: str, columns: int = 1) -> np.ndarray:
     for the first malformed row, numbered among the non-blank rows.
     """
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    cells = list(map(str.strip, itertools.chain.from_iterable(rows)))
-    filled = np.fromiter(map(bool, cells), dtype=bool, count=len(cells))
-    row_of = np.repeat(np.arange(len(rows)), list(map(len, rows)))
-    counts = np.bincount(row_of[filled], minlength=len(rows))
-    kept = np.flatnonzero(counts)  # the non-blank rows
-    if not kept.size:
+        text = fh.read()
+    if '"' in text:
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+    else:  # csv.reader splits quote-free text at line ends and commas alone
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        rows = text.split("\n")
+        rows = [line.split(",") for line in rows] if "," in text else rows  # or a cell a line
+    one_cell = not rows or isinstance(rows[0], str)
+    cells = list(map(str.strip, rows if one_cell else itertools.chain.from_iterable(rows)))
+    data = list(filter(None, cells))
+    if one_cell:
+        widths = np.ones(len(data), dtype=int)  # filled cells of each non-blank row
+    else:
+        filled = np.fromiter(map(bool, cells), dtype=bool, count=len(cells))
+        widths = np.bincount(np.repeat(np.arange(len(rows)), list(map(len, rows)))[filled])
+        widths = widths[widths > 0]
+    if not widths.size:
         raise DomainError(f"input file {path!r} contains no data")
-    data = list(itertools.compress(cells, filled))
     start = 0
     try:
         float(data[0])
     except ValueError:
         start = 1  # header line
-    if start == kept.size:
+    if start == widths.size:
         raise DomainError(f"input file {path!r} contains only a header")
-    data = data[counts[kept[0]] * start:]
+    data = data[widths[0] * start:]
     try:
         arr = np.fromiter(map(float, data), dtype=float, count=len(data))
-        ok = np.all(counts[kept[start:]] == columns) and np.all(np.isfinite(arr))
+        ok = np.all(widths[start:] == columns) and np.all(np.isfinite(arr))
     except ValueError:
         ok = False
     if not ok:
-        bad = ([c.strip() for c in rows[r] if c.strip()] for r in kept[start:])
-        raise _first_fault(bad, columns, start + 1)
+        rows = ([row] for row in rows) if one_cell else rows
+        bad = filter(None, ([c.strip() for c in row if c.strip()] for row in rows))
+        raise _first_fault(itertools.islice(bad, start, None), columns, start + 1)
     return arr if columns == 1 else arr.reshape(-1, columns)
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from operator import itemgetter
 
 import numpy as np
 
@@ -45,7 +46,7 @@ __all__ = [
 
 _GARCH_WARMUP = 10  # recursion-initialization transient dropped from POT fitting
 _GARCH_MAX_PERSISTENCE = 0.9995
-# fit_garch11 runs one SLSQP search from the best cell of a coarse
+# fit_garch11 runs one projected Newton search from the best cell of a coarse
 # (alpha, beta) grid: alpha at 0 and log-spaced from 0.01 to 0.8, beta with
 # 1 - beta log-spaced from 1 to 0.01, cells past the persistence cap skipped.
 _GARCH_GRID_ALPHA = np.concatenate([[0.0], np.geomspace(0.01, 0.8, 15)])
@@ -58,13 +59,26 @@ _GARCH_GRID_BETA = 1.0 - np.geomspace(1.0, 0.01, 16)
 # windows, 0.05 fired on 9.
 _GARCH_FALLBACK_ALPHA = 0.05
 # (alpha, beta) starts of the fallback; the low-alpha, high-beta one reaches
-# the basin each of the other three tends to miss on nearly iid input
+# the basin each of the other three tends to miss on nearly iid input.  On
+# the alpha = 0 face the variance drifts from mean(e^2) at rate beta, which
+# can have basins of its own, searched when the best alpha is below 0.01.
 _GARCH_STARTS = ((0.05, 0.90), (0.10, 0.80), (0.02, 0.50), (0.01, 0.98))
+_GARCH_FACE_STARTS = ((0.0, 0.5), (0.0, 0.9), (0.0, 0.98), (0.0, 0.995))
+_GARCH_FACE_ALPHA = 0.01
+# a search stops when a step, or the step its model predicts, lowers the
+# objective by at most this much, relative (SLSQP's ftol before it)
+_GARCH_FTOL = 1e-14
+_GARCH_MAX_STEPS = 100
+# outward normals in (alpha, beta) of alpha >= 0, beta >= 0 and
+# alpha + beta <= cap, and bases of the steps that keep each one binding
+_GARCH_NORMALS = np.array([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]])
+_GARCH_BASES = {(): np.eye(4), (0,): np.eye(4)[:, [0, 1, 3]], (1,): np.eye(4)[:, :3],
+                (2,): np.c_[np.eye(4)[:, :2], [0.0, 0.0, 1.0, -1.0]]}
 
 
 def __getattr__(name: str):
-    # `minimize` (SLSQP for fit_garch11) is imported on first access (PEP 562),
-    # so scipy stays off the import path; perfbench/tracing.py may replace it
+    # `minimize` (no longer called here; perfbench/tracing.py wraps it) is
+    # imported on first access (PEP 562), so scipy stays off the import path
     if name != "minimize":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from scipy.optimize import minimize
@@ -185,8 +199,9 @@ def _garch_sigma2(y_centered_sq: np.ndarray, omega: float, alpha: float, beta: f
     return out
 
 
-def _garch_neg_qll(params, y):
-    """Gaussian negative quasi-log-likelihood per observation and its gradient.
+def _garch_neg_qll(params, y, hessian: bool = False):
+    """Gaussian negative quasi-log-likelihood per observation and its gradient,
+    and with ``hessian`` its Hessian too.
 
     ``params = (mean, log omega, alpha, beta)``.  The derivatives of the
     variance path obey the same linear recursion as the variance itself,
@@ -194,7 +209,9 @@ def _garch_neg_qll(params, y):
     ``-2 alpha e_{t-1}`` (mean), ``omega`` (log omega), ``e_{t-1}^2``
     (alpha) and ``s2_{t-1}`` (beta); they start from the derivative of
     the initial variance ``s2_0 = mean(e^2)``, which depends on the mean
-    only.
+    only.  The second derivatives obey it too, driven by the derivatives of
+    ``c_t`` (``2 alpha``, ``-2 e_{t-1}``, ``omega``, and ``d s2_{t-1}`` in
+    the pairs that hold beta) and started at ``d^2 s2_0 / d mean^2 = 2``.
     """
     from scipy.signal import lfilter
 
@@ -211,15 +228,32 @@ def _garch_neg_qll(params, y):
     drivers[1] = omega
     drivers[2] = sq[:-1]
     drivers[3] = s2[:-1]
-    ds2_0 = np.zeros((4, 1))
-    ds2_0[0, 0] = -2.0 * float(e.sum()) / n
-    tail, _ = lfilter([1.0], [1.0, -beta], drivers, axis=1, zi=beta * ds2_0)
+    ds2 = np.zeros((4, n))
+    ds2[0, 0] = -2.0 * float(e.sum()) / n
+    ds2[:, 1:], _ = lfilter([1.0], [1.0, -beta], drivers, axis=1, zi=beta * ds2[:, :1])
     w = (1.0 - ratio) / s2
-    grad = tail @ w[1:]
-    grad += ds2_0[:, 0] * w[0]
+    grad = ds2[:, 1:] @ w[1:]
+    grad += ds2[:, 0] * w[0]
     grad *= 0.5 / n
     grad[0] -= float((e / s2).sum()) / n
-    return value, grad
+    if not hessian:
+        return value, grad
+    # (mean, mean), (mean, alpha) and the pairs with beta; (log omega,
+    # log omega) is row 1 of ds2, and the other pairs vanish
+    second = np.vstack([np.full(n - 1, 2.0 * alpha), -2.0 * e[:-1], ds2[:3, :-1],
+                        2.0 * ds2[3, :-1]])
+    tail, _ = lfilter([1.0], [1.0, -beta], second, axis=1, zi=2.0 * beta * np.eye(6, 1))
+    upper = np.zeros((4, 4))
+    upper[(0, 0, 0, 1, 2, 3), (0, 2, 3, 3, 3, 3)] = tail @ w[1:]
+    upper[0, 0] += 2.0 * w[0]
+    upper[1, 1] = ds2[1, 1:] @ w[1:]
+    hess = (ds2 * ((2.0 * ratio - 1.0) / (s2 * s2))) @ ds2.T + upper + np.triu(upper, 1).T
+    # the mean enters the squared deviations as well as the variance path
+    cross = 2.0 * (ds2 @ (e / (s2 * s2)))
+    hess[0] += cross
+    hess[:, 0] += cross
+    hess[0, 0] += 2.0 * float((1.0 / s2).sum())
+    return value, grad, hess * (0.5 / n)
 
 
 def _garch_grid_neg_qll(z: np.ndarray) -> np.ndarray:
@@ -252,6 +286,70 @@ def _garch_grid_neg_qll(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _garch_search_neg_qll(v, z):
+    """:func:`_garch_neg_qll` with its Hessian in the search's coordinates
+    ``(mean, log(omega / (1 - beta)), alpha, beta)``: on the ``alpha = 0``
+    face the valley keeps ``omega / (1 - beta)``, the level the variance
+    drifts to, nearly fixed, so it is straight here and curved in log omega."""
+    q = 1.0 / (1.0 - v[3])
+    x = np.array([v[0], v[1] - math.log(q), v[2], v[3]])
+    value, grad, hess = _garch_neg_qll(x, z, hessian=True)
+    hess[:, 3] -= q * hess[:, 1]  # d log omega / d beta = -q
+    hess[3] -= q * hess[1]
+    hess[3, 3] -= q * q * grad[1]
+    grad[3] -= q * grad[1]
+    return value, grad, hess
+
+
+def _garch_newton(z: np.ndarray, alpha: float, beta: float):
+    """Projected Newton search (Bertsekas 1982) from ``(alpha, beta)``, mean
+    0 and ``omega = 1 - alpha - beta``: ``(value or inf, (mean, log omega,
+    alpha, beta))``.  Each step keeps the constraints binding that the
+    gradient presses against (positive first-order multipliers), takes the
+    Newton step on the exact Hessian (eigenvalues in absolute value) in the
+    other directions, and halves it until its projection on the feasible
+    set lowers the objective enough (Armijo)."""
+    cap = _GARCH_MAX_PERSISTENCE
+    v = np.array([0.0, math.log((1.0 - alpha - beta) / (1.0 - beta)), alpha, beta])
+    f, g, h = _garch_search_neg_qll(v, z)
+    for _ in range(_GARCH_MAX_STEPS):
+        # a step along the cap moves alpha + beta by rounding, hence 1e-12
+        on = [i for i, s in enumerate((v[2], v[3], cap - v[2] - v[3])) if s <= 1e-12]
+        while on:
+            lam = np.linalg.lstsq(_GARCH_NORMALS[on].T, -g[2:], rcond=None)[0]
+            if lam.min() > 0.0:
+                break
+            on.pop(int(np.argmin(lam)))
+        basis = _GARCH_BASES.get(tuple(on), np.eye(4)[:, :2])  # two binding: alpha, beta fixed
+        ev, vec = np.linalg.eigh(basis.T @ h @ basis)
+        ev = np.maximum(np.abs(ev), 1e-16 * np.abs(ev).max())
+        step = -basis @ (vec @ (vec.T @ (basis.T @ g) / ev))
+        if -float(g @ step) <= _GARCH_FTOL * abs(f):
+            break  # the projected gradient vanishes
+        t = 1.0
+        for _ in range(30):
+            trial = v + t * step
+            a, b = max(trial[2], 0.0), max(trial[3], 0.0)
+            if a + b > cap:  # the nearest point of the cap
+                a = min(max(a - 0.5 * (a + b - cap), 0.0), cap)
+                b = cap - a
+            trial[2:] = a, b
+            try:
+                ft, gt, ht = _garch_search_neg_qll(trial, z)
+            except OverflowError:  # exp(log omega) of a step far too long
+                ft = math.inf
+            if ft < f and ft <= f + 1e-4 * float(g @ (trial - v)):
+                break
+            t *= 0.5
+        else:
+            break  # no lower point along the step: converged to rounding
+        v, g, h, f, f_old = trial, gt, ht, ft, f
+        if f_old - f <= _GARCH_FTOL * abs(f_old):
+            break
+    x = np.array([v[0], v[1] + math.log(1.0 - v[3]), v[2], v[3]])
+    return (f if f < math.inf else math.inf), x
+
+
 def fit_garch11(series) -> Garch11Model:
     """Gaussian quasi-maximum-likelihood GARCH(1,1) fit.
 
@@ -259,14 +357,15 @@ def fit_garch11(series) -> Garch11Model:
     from the fitted mean.  The fit runs on the standardized series in two
     steps.  A coarse ``(alpha, beta)`` grid, with the mean at 0 and
     ``omega`` set by variance targeting (see :func:`_garch_grid_neg_qll`),
-    picks one start.  From it one SLSQP search on the exact gradient (see
-    :func:`_garch_neg_qll`) runs over ``(mean, log omega, alpha, beta)``
-    within the box ``0 <= alpha, beta <= 0.9995`` and under the linear
-    stationarity constraint ``alpha + beta <= 0.9995``.  When the search
-    ends with ``alpha`` below ``_GARCH_FALLBACK_ALPHA``, where ``beta`` is
-    weakly identified and nearly iid input can give the quasi-likelihood
-    several basins, SLSQP also runs from the four ``_GARCH_STARTS`` and the
-    best end point is kept.  Near-unit persistence is reported with a
+    picks one start.  From it one projected Newton search on the exact
+    Hessian (see :func:`_garch_newton`) runs over ``(mean, log omega, alpha,
+    beta)`` within ``alpha, beta >= 0`` and ``alpha + beta <= 0.9995``.  When
+    the search ends with ``alpha`` below ``_GARCH_FALLBACK_ALPHA``, where
+    ``beta`` is weakly identified and nearly iid input can give the
+    quasi-likelihood several basins, the search also runs from the four
+    ``_GARCH_STARTS``, and when the best end point then has ``alpha`` below
+    ``_GARCH_FACE_ALPHA``, from the ``_GARCH_FACE_STARTS`` on the face too;
+    the best end point is kept.  Near-unit persistence is reported with a
     :class:`BoundaryWarning`; a solver failure raises
     :class:`EstimationError`.
     """
@@ -286,51 +385,29 @@ def fit_garch11(series) -> Garch11Model:
         )
 
     # The search runs on the standardized series: the quasi-likelihood is
-    # affine-equivariant (mean and sqrt(omega) scale with the data), and
-    # the solver's first steps are only well sized at unit scale.
+    # affine-equivariant (mean and sqrt(omega) scale with the data).
     loc = float(np.mean(y))
     scale = math.sqrt(var_y)
     z = (y - loc) / scale
-    cap = _GARCH_MAX_PERSISTENCE
-    persistence = {
-        "type": "ineq",
-        "fun": lambda p: cap - p[2] - p[3],
-        "jac": lambda p: np.array([0.0, 0.0, -1.0, -1.0]),
-    }
-    bounds = [(None, None), (None, None), (0.0, cap), (0.0, cap)]
-    # the module attribute, so that a wrapper set on it is the one called
-    minimize = globals().get("minimize") or __getattr__("minimize")
-
-    def search(a0, b0):
-        return minimize(
-            _garch_neg_qll,
-            np.array([0.0, math.log(1.0 - a0 - b0), a0, b0]),
-            args=(z,),
-            jac=True,
-            method="SLSQP",
-            bounds=bounds,
-            constraints=[persistence],
-            options={"ftol": 1e-14, "maxiter": 500},
-        )
-
     cells = _garch_grid_neg_qll(z)
     i, j = np.unravel_index(np.argmin(cells), cells.shape)
     try:
-        first = search(float(_GARCH_GRID_ALPHA[i]), float(_GARCH_GRID_BETA[j]))
-        results = [first]
-        if not (math.isfinite(first.fun) and first.x[2] >= _GARCH_FALLBACK_ALPHA):
-            results += [search(a0, b0) for a0, b0 in _GARCH_STARTS]
+        # the line search rejects, and does not report, overflowing trial points
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            start = float(_GARCH_GRID_ALPHA[i]), float(_GARCH_GRID_BETA[j])
+            results = [_garch_newton(z, *start)]
+            if not (results[0][0] < math.inf and results[0][1][2] >= _GARCH_FALLBACK_ALPHA):
+                results += [_garch_newton(z, a0, b0) for a0, b0 in _GARCH_STARTS]
+                if min(results, key=itemgetter(0))[1][2] < _GARCH_FACE_ALPHA:
+                    results += [_garch_newton(z, a0, b0) for a0, b0 in _GARCH_FACE_STARTS]
     except (ArithmeticError, np.linalg.LinAlgError) as exc:
         raise EstimationError(
             f"GARCH quasi-likelihood maximization failed: {exc}"
         ) from exc
-    finite = [res for res in results if math.isfinite(res.fun)]
-    if not finite:
+    value, x = min(results, key=itemgetter(0))
+    if value == math.inf:
         raise EstimationError("GARCH quasi-likelihood maximization failed")
-    best = min(finite, key=lambda res: res.fun)
-    mu_z, log_omega_z, alpha, beta = best.x
-    alpha = max(float(alpha), 0.0)
-    beta = max(float(beta), 0.0)
+    mu_z, log_omega_z, alpha, beta = map(float, x)
     if alpha + beta > 0.98:
         warnings.warn(
             f"GARCH persistence alpha+beta = {alpha + beta:.4f} presses the "
@@ -341,8 +418,8 @@ def fit_garch11(series) -> Garch11Model:
     return Garch11Model(
         omega=var_y * math.exp(log_omega_z),
         alpha=alpha,
-        beta=min(beta, _GARCH_MAX_PERSISTENCE),
-        mean=loc + scale * float(mu_z),
+        beta=beta,
+        mean=loc + scale * mu_z,
         fitted_on=n,
     )
 

@@ -491,6 +491,15 @@ class TestConfig:
         ("simulate", {**SIM, "levels": {"bogus": 1}}, "unknown keys in levels: ['bogus']"),
         ("simulate", {**TS, "ts": {"bogus": 1}}, "unknown keys in ts: ['bogus']"),
         ("simulate", {**SIM, "sampler": {"bogus": 1}}, "unknown keys in sampler: ['bogus']"),
+        # a misspelt section name at the top level, for Bayes and ML runs alike
+        ("fit", {"smapler": {"burn_in": 200, "draws": 500}}, "unknown keys in config: ['smapler']"),
+        ("fit-ml", {"smapler": {"draws": 500}}, "unknown keys in config: ['smapler']"),
+        ("risk-table", {"piror": {}}, "unknown keys in config: ['piror']"),
+        ("ts", {"sampler": {}, "bogus": 1}, "unknown keys in config: ['bogus']"),
+        # ts never reads a prior, so a prior section would do nothing
+        ("ts", {"prior": {"shape": {"kind": "uniform-window", "lo": -0.1, "hi": 0.2}}},
+         "ts samples under the default prior"),
+        ("ts-ml", {"prior": {}}, "ts samples under the default prior"),
     ])
     def test_malformed_config_exits_3(self, exp_csv, series_csv, tmp_path, capsys,
                                       command, cfg, message):
@@ -503,12 +512,25 @@ class TestConfig:
             "ts": ["ts", "--input", series_csv, "--k", "100", "--window", "1000",
                    "--stride", "1000", "--method", "bayes"],
             "simulate": ["simulate"],
+            "fit-ml": ["fit", "--input", exp_csv, "--k", "200"],
+            "ts-ml": ["ts", "--input", series_csv, "--k", "100", "--window", "1000",
+                      "--stride", "1000"],
         }[command]
         assert main([*argv, "--config", str(path), "--out", str(tmp_path / "out")]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
         assert message in err
         assert not list(tmp_path.glob("out*"))
+
+    def test_ml_runs_accept_the_bayes_sections(self, exp_csv, tmp_path):
+        # one config can serve a command's ML and Bayes runs
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"sampler": {"draws": 500}, "prior": {}}))
+        plain = main(["fit", "--input", exp_csv, "--k", "200", "--out", str(tmp_path / "a")])
+        shared = main(["fit", "--input", exp_csv, "--k", "200", "--config", str(path),
+                       "--out", str(tmp_path / "b")])
+        assert plain == shared == 0
+        assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
 
     def test_empty_sections_read_as_library_defaults(self):
         for value in (None, {}):

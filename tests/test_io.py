@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tailcast.errors import DomainError
 from tailcast.io import read_numeric_csv
@@ -104,3 +106,37 @@ def test_error_names_the_file(csv_file):
     path = csv_file("")
     with pytest.raises(DomainError, match=re.escape(repr(path))):
         read_numeric_csv(path)
+
+
+# quote-free cells, rows and texts: numbers, blanks, whitespace, headers,
+# non-numeric and non-finite cells, rows of any width and every line ending
+CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["", " ", "\t", " 1.5 ", "value", "y", "x", "nan", "inf", "-inf",
+                     "1e400", "1_000", "1.5.2", "+.5", "0x10"]),
+)
+ROWS = st.lists(CELLS, min_size=0, max_size=4).map(",".join)
+TEXTS = st.lists(
+    st.tuples(ROWS, st.sampled_from(["\n", "\r\n", "\r"])), min_size=0, max_size=8
+).map(lambda rows: "".join(row + end for row, end in rows))
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=TEXTS, trailing=st.sampled_from(["", "\n", "\r", ",", "\n\n"]),
+       columns=st.integers(1, 3))
+def test_split_and_csv_reader_agree(tmp_path_factory, text, trailing, columns):
+    # a quote-free text is split with str.split; its twin, which ends in a
+    # row holding one quoted empty cell (a blank row), goes through
+    # csv.reader; both read as the same array or fail with the same message
+    path = tmp_path_factory.mktemp("csv") / "in.csv"
+
+    def read(body):
+        path.write_bytes(body.encode())
+        try:
+            arr = read_numeric_csv(str(path), columns)
+        except DomainError as exc:
+            return str(exc)
+        return arr.shape, arr.dtype, arr.tobytes()
+
+    assert read(text + trailing) == read(text + trailing + '\n""\n')

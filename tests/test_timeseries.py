@@ -116,33 +116,84 @@ class TestGarch:
         with pytest.raises(AttributeError):
             ts.no_such_name
 
-    def test_fit_garch11_calls_the_minimize_set_on_the_module(self, monkeypatch):
+    @staticmethod
+    def spy_on_searches(monkeypatch):
+        """Record each ``_garch_newton`` search's start, value and end point."""
+        searches = []
+        search = ts._garch_newton
+
+        def spy(z, alpha, beta):
+            value, x = search(z, alpha, beta)
+            searches.append(((alpha, beta), value, x))
+            return value, x
+
+        monkeypatch.setattr(ts, "_garch_newton", spy)
+        return searches
+
+    def test_one_search_from_the_best_grid_cell(self, monkeypatch):
         y = simulate_garch(0.1, 0.1, 0.8, 1_000, seed=3)
         expected = fit_garch11(y)
-        calls = []
-
-        def spy(*args, **kwargs):
-            calls.append(kwargs["method"])
-            return minimize(*args, **kwargs)
-
-        monkeypatch.setattr(ts, "minimize", spy)
+        searches = self.spy_on_searches(monkeypatch)
         assert fit_garch11(y) == expected
-        assert calls == ["SLSQP"]  # one search, from the best grid cell
+        cells = ts._garch_grid_neg_qll((y - y.mean()) / y.std())
+        i, j = np.unravel_index(np.argmin(cells), cells.shape)
+        assert [start for start, _, _ in searches] == [
+            (ts._GARCH_GRID_ALPHA[i], ts._GARCH_GRID_BETA[j])
+        ]
+        assert searches[0][2][2] >= ts._GARCH_FALLBACK_ALPHA
 
     def test_low_alpha_fit_also_searches_from_the_fixed_starts(self, monkeypatch):
         y = np.random.default_rng(5).standard_normal(1_000)
         expected = fit_garch11(y)
-        alphas = []
-
-        def spy(*args, **kwargs):
-            res = minimize(*args, **kwargs)
-            alphas.append(res.x[2])
-            return res
-
-        monkeypatch.setattr(ts, "minimize", spy)
+        searches = self.spy_on_searches(monkeypatch)
         assert fit_garch11(y) == expected
-        assert len(alphas) == 1 + len(ts._GARCH_STARTS)
-        assert alphas[0] < ts._GARCH_FALLBACK_ALPHA
+        assert [start for start, _, _ in searches[1:]] == list(
+            ts._GARCH_STARTS + ts._GARCH_FACE_STARTS
+        )
+        assert searches[0][2][2] < ts._GARCH_FALLBACK_ALPHA
+        # the face starts run because the best of the first five is near the face
+        assert min(searches[:5], key=lambda s: s[1])[2][2] < ts._GARCH_FACE_ALPHA
+
+    def test_face_starts_only_near_the_face(self, monkeypatch):
+        # a GARCH window whose fit takes the fallback and ends at alpha >= 0.01
+        y = simulate_garch(0.05, 0.05, 0.9, 1_000, seed=0)
+        searches = self.spy_on_searches(monkeypatch)
+        model = fit_garch11(y)
+        assert [start for start, _, _ in searches[1:]] == list(ts._GARCH_STARTS)
+        assert ts._GARCH_FACE_ALPHA <= model.alpha < ts._GARCH_FALLBACK_ALPHA
+
+    def test_search_ends_feasible_and_stationary(self):
+        # the end point of every search lies in the feasible triangle, and
+        # no feasible step from it lowers the objective to first order
+        cap = ts._GARCH_MAX_PERSISTENCE
+        y = np.random.default_rng(5).standard_normal(1_000)
+        z = (y - y.mean()) / y.std()
+        for alpha, beta in ts._GARCH_STARTS + ts._GARCH_FACE_STARTS:
+            _, x = ts._garch_newton(z, alpha, beta)
+            assert x[2] >= 0.0 and x[3] >= 0.0 and x[2] + x[3] <= cap
+            _, grad = ts._garch_neg_qll(x, z)
+            assert np.max(np.abs(grad[:2])) < 1e-6
+            for d_alpha, d_beta in ((1, 0), (0, 1), (-1, 0), (0, -1), (1, -1), (-1, 1)):
+                a, b = x[2] + 1e-3 * d_alpha, x[3] + 1e-3 * d_beta
+                if a >= 0.0 and b >= 0.0 and a + b <= cap:
+                    assert grad[2] * d_alpha + grad[3] * d_beta > -1e-6
+
+    def test_hessian_matches_central_differences_of_the_gradient(self):
+        z = (GRADIENT_SERIES - GRADIENT_SERIES.mean()) / GRADIENT_SERIES.std()
+        for params in ([0.05, -2.0, 0.1, 0.8], [-0.1, -5.0, 0.3, 0.69], [0.0, 0.0, 0.0, 0.0]):
+            params = np.array(params)
+            value, grad, hess = ts._garch_neg_qll(params, z, hessian=True)
+            plain_value, plain_grad = ts._garch_neg_qll(params, z)
+            assert value == plain_value and grad.tobytes() == plain_grad.tobytes()
+            numeric = np.empty((4, 4))
+            for i in range(4):
+                step = np.zeros(4)
+                step[i] = 1e-6
+                up = ts._garch_neg_qll(params + step, z)[1]
+                down = ts._garch_neg_qll(params - step, z)[1]
+                numeric[:, i] = (up - down) / 2e-6
+            np.testing.assert_allclose(hess, numeric, rtol=1e-6, atol=1e-7)
+            np.testing.assert_allclose(hess, hess.T, rtol=1e-12, atol=1e-15)
 
     def test_iid_input_small_persistence(self):
         rng = np.random.default_rng(5)
@@ -248,25 +299,42 @@ def four_start_reference(y):
 
 GRADIENT_SERIES = simulate_garch(0.1, 0.1, 0.8, 1_000, seed=3)
 
-# Prints an md5 of the quasi-likelihood's value and gradient bytes at 20
-# points on each of 3 simulated GARCH windows, and of the grid values.
+# Prints an md5 of the quasi-likelihood's value, gradient and Hessian bytes
+# at 20 points on each of 3 simulated GARCH windows, of the grid values, of
+# the fitted models, and of a `tailcast ts --filter garch11` output.
 OBJECTIVE_BYTES_CODE = """
-import hashlib, math
+import hashlib, math, os, tempfile, warnings
 import numpy as np
 import tailcast.timeseries as ts
+from tailcast.cli import main
+
+def garch_t(rng, n):
+    eps = rng.standard_t(5.0, n) * math.sqrt(0.6)
+    y, s2 = np.empty(n), 1.0
+    for t in range(n):
+        y[t] = math.sqrt(s2) * eps[t]
+        s2 = 0.02 + 0.08 * y[t] ** 2 + 0.9 * s2
+    return y
+
+warnings.simplefilter("ignore")
 h = hashlib.md5()
 for seed in range(3):
     rng = np.random.default_rng(seed)
-    eps = rng.standard_t(5.0, 1_000) * math.sqrt(0.6)
-    y, s2 = np.empty(1_000), 1.0
-    for t in range(1_000):
-        y[t] = math.sqrt(s2) * eps[t]
-        s2 = 0.02 + 0.08 * y[t] ** 2 + 0.9 * s2
+    y = garch_t(rng, 1_000)
     z = (y - y.mean()) / y.std()
     h.update(ts._garch_grid_neg_qll(z).tobytes())
     for p in rng.uniform([-0.3, -6.0, 0.0, 0.0], [0.3, 0.0, 0.4, 0.59], (20, 4)):
-        value, grad = ts._garch_neg_qll(p, z)
-        h.update(np.float64(value).tobytes() + grad.tobytes())
+        value, grad, hess = ts._garch_neg_qll(p, z, hessian=True)
+        h.update(np.float64(value).tobytes() + grad.tobytes() + hess.tobytes())
+    m = ts.fit_garch11(y)
+    h.update(np.array([m.omega, m.alpha, m.beta, m.mean]).tobytes())
+with tempfile.TemporaryDirectory() as tmp:
+    series, out = os.path.join(tmp, "series.csv"), os.path.join(tmp, "out.csv")
+    np.savetxt(series, garch_t(np.random.default_rng(3), 3_000))
+    main(["ts", "--input", series, "--filter", "garch11", "--k", "100",
+          "--window", "1000", "--stride", "1000", "--out", out])
+    with open(out, "rb") as fh:
+        h.update(fh.read())
 print(h.hexdigest())
 """
 

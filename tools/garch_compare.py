@@ -1,13 +1,18 @@
-"""Compare ``timeseries.fit_garch11`` with the four-start SLSQP search it replaced.
+"""Compare ``timeseries.fit_garch11`` with a four-start SLSQP search and with
+a three-start Nelder–Mead search, window by window.
 
-For every window it prints the gap between the two end points'
-quasi-likelihoods (negative quasi-log-likelihood per observation on the
-standardized window; a positive gap means the fit ended worse than the
-four-start search), the fitted (alpha, beta) of each, the objective
-evaluations ``minimize`` made for each, and whether the fit took its
-low-alpha fallback.  A summary line per corpus follows.  The grid pass that
-picks the fit's start evaluates the objective outside ``minimize`` and is not
-counted.
+For every window it prints the gap between the fit's quasi-likelihood and
+each reference's (negative quasi-log-likelihood per observation on the
+standardized window; a positive gap means the fit ended worse), the fitted
+(alpha, beta) and SLSQP's, the objective passes of the fit (grid cells plus
+objective evaluations, each with its Hessian) and of SLSQP, the time of one
+fit, and whether the fit took its low-alpha fallback.  A summary line per
+corpus follows.  The references are the searches the fit used before:
+
+- four-start SLSQP: scipy's SLSQP on the exact gradient from the four
+  ``_GARCH_STARTS``, best end point kept;
+- three-start Nelder–Mead: the first three of those starts, on the objective
+  with a penalty outside the stationarity region.
 
 Corpora:
 
@@ -34,6 +39,7 @@ import argparse
 import math
 import os
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -49,7 +55,7 @@ WINDOW = 1_000
 
 
 def four_start(z):
-    """The earlier search: SLSQP from each fixed start, best end point kept."""
+    """SLSQP from each of the four fixed starts, best end point kept."""
     cap = ts._GARCH_MAX_PERSISTENCE
     persistence = {
         "type": "ineq",
@@ -74,23 +80,72 @@ def four_start(z):
     return best, nfev
 
 
-def current_fit(y, z):
-    """``fit_garch11`` with its ``minimize`` calls counted, and the fitted
-    model's objective on the standardized window."""
-    calls = []
+def nelder_mead(z) -> float:
+    """The best penalized Nelder–Mead end point from three fixed starts."""
 
-    def counted(*args, **kwargs):
-        res = minimize(*args, **kwargs)
-        calls.append(res.nfev)
-        return res
+    def penalized(p):
+        if p[2] < 0.0 or p[3] < 0.0 or p[2] + p[3] > ts._GARCH_MAX_PERSISTENCE:
+            return 1e12 * (1.0 + max(0.0, p[2] + p[3] - ts._GARCH_MAX_PERSISTENCE))
+        return ts._garch_neg_qll(p, z)[0]
 
-    ts.minimize = counted
+    best = math.inf
+    for a0, b0 in ts._GARCH_STARTS[:3]:
+        res = minimize(
+            penalized,
+            [0.0, math.log(1.0 - a0 - b0), a0, b0],
+            method="Nelder-Mead",
+            options={"xatol": 1e-8, "fatol": 1e-11, "maxiter": 4000, "maxfev": 6000},
+        )
+        best = min(best, res.fun)
+    return best
+
+
+def counted_fit(y):
+    """``fit_garch11`` with its objective passes and searches counted: grid
+    cells (finite ones), objective evaluations, and ``_garch_newton`` calls."""
+    counts = {"cells": 0, "evals": 0, "searches": 0}
+    grid, objective, newton = ts._garch_grid_neg_qll, ts._garch_neg_qll, ts._garch_newton
+
+    def grid_counted(z):
+        cells = grid(z)
+        counts["cells"] += int(np.isfinite(cells).sum())
+        return cells
+
+    def objective_counted(*args, **kwargs):
+        counts["evals"] += 1
+        return objective(*args, **kwargs)
+
+    def newton_counted(*args):
+        counts["searches"] += 1
+        return newton(*args)
+
+    ts._garch_grid_neg_qll = grid_counted
+    ts._garch_neg_qll = objective_counted
+    ts._garch_newton = newton_counted
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", BoundaryWarning)
             model = ts.fit_garch11(y)
     finally:
-        del ts.minimize
+        ts._garch_grid_neg_qll, ts._garch_neg_qll, ts._garch_newton = grid, objective, newton
+    boundary = sum(w.category is BoundaryWarning for w in caught)
+    return model, counts, boundary
+
+
+def fit_ms(y, repeats: int = 3) -> float:
+    """The best of ``repeats`` timed calls of ``fit_garch11``, in ms."""
+    best = math.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BoundaryWarning)
+        for _ in range(repeats):
+            start = time.perf_counter()
+            ts.fit_garch11(y)
+            best = min(best, time.perf_counter() - start)
+    return 1e3 * best
+
+
+def objective_at(model, y, z) -> float:
+    """The fitted model's objective on the standardized window."""
     loc, var_y = float(np.mean(y)), float(np.var(y))
     params = np.array([
         (model.mean - loc) / math.sqrt(var_y),
@@ -98,9 +153,7 @@ def current_fit(y, z):
         model.alpha,
         model.beta,
     ])
-    value, _ = ts._garch_neg_qll(params, z)
-    boundary = sum(w.category is BoundaryWarning for w in caught)
-    return model, value, calls, boundary
+    return ts._garch_neg_qll(params, z)[0]
 
 
 def simulate(omega, alpha, beta, n, rng, df=None):
@@ -154,30 +207,37 @@ def sweep_series():
 
 
 def compare(windows) -> None:
-    gaps, nfev_new, nfev_old = [], [], []
+    gaps, nm_gaps, passes, slsqp_nfev, times = [], [], [], [], []
     fallbacks = boundary = 0
-    print(f"{'window':24} {'gap/obs':>10} {'alpha':>7} {'beta':>7} {'alpha0':>7} "
-          f"{'beta0':>7} {'nfev':>5} {'nfev0':>5} fallback")
+    print(f"{'window':24} {'gap/obs':>10} {'gap NM':>10} {'alpha':>7} {'beta':>7} "
+          f"{'alpha0':>7} {'beta0':>7} {'passes':>6} {'nfev0':>5} {'ms':>6} fallback")
     for name, y in windows:
         z = (y - np.mean(y)) / np.std(y)
         old, n_old = four_start(z)
-        model, value, calls, warned = current_fit(y, z)
-        gap = value - old.fun
-        fell = len(calls) > 1
+        model, counts, warned = counted_fit(y)
+        value = objective_at(model, y, z)
+        gap, nm_gap = value - old.fun, value - nelder_mead(z)
+        fell = counts["searches"] > 1
+        ms = fit_ms(y)
         gaps.append(gap)
-        nfev_new.append(sum(calls))
-        nfev_old.append(n_old)
+        nm_gaps.append(nm_gap)
+        passes.append(counts["cells"] + counts["evals"])
+        slsqp_nfev.append(n_old)
+        times.append(ms)
         fallbacks += fell
         boundary += warned
-        print(f"{name:24} {gap:10.2e} {model.alpha:7.4f} {model.beta:7.4f} "
-              f"{old.x[2]:7.4f} {old.x[3]:7.4f} {sum(calls):5d} {n_old:5d} "
+        print(f"{name:24} {gap:10.2e} {nm_gap:10.2e} {model.alpha:7.4f} {model.beta:7.4f} "
+              f"{old.x[2]:7.4f} {old.x[3]:7.4f} {passes[-1]:6d} {n_old:5d} {ms:6.2f} "
               f"{'yes' if fell else ''}")
-    gaps = np.array(gaps)
+    gaps, nm_gaps = np.array(gaps), np.array(nm_gaps)
     print(
-        f"windows {gaps.size}: worse by more than 1e-12 per observation on "
-        f"{int(np.sum(gaps > 1e-12))} (largest gap {gaps.max():.2e}, smallest "
-        f"{gaps.min():.2e}); fallback on {fallbacks}; minimize evaluations per fit "
-        f"{np.mean(nfev_new):.1f} (four starts {np.mean(nfev_old):.1f}); "
+        f"windows {gaps.size}: worse than four-start SLSQP by more than 1e-12 per "
+        f"observation on {int(np.sum(gaps > 1e-12))} (largest gap {gaps.max():.2e}), "
+        f"better on {int(np.sum(gaps < -1e-12))} (smallest {gaps.min():.2e}); worse than "
+        f"Nelder-Mead on {int(np.sum(nm_gaps > 1e-12))} (largest {nm_gaps.max():.2e}); "
+        f"fallback on {fallbacks}; objective passes per fit {np.mean(passes):.1f} "
+        f"(max {max(passes)}; SLSQP evaluations {np.mean(slsqp_nfev):.1f}); ms per fit "
+        f"median {np.median(times):.2f}, mean {np.mean(times):.2f}; "
         f"BoundaryWarnings {boundary}"
     )
 
