@@ -54,6 +54,7 @@ from .predict import (
     extreme_level_from_c,
     extreme_level_from_return_period,
     fit_tail,
+    fit_tails,
     freq_predictive,
     prediction_grid,
     predictive_interval,

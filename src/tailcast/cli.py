@@ -495,11 +495,15 @@ def _simulation(cfg: dict, seed: int):
     """``(experiment, run config)`` of a simulation config; ``seed`` is --seed."""
     sim = _section(cfg, dict, _SIMULATION, "simulation config", ("experiment", "generator"))
     experiment, family = sim.pop("experiment"), sim.pop("generator")
-    ts, sampler = sim.pop("ts", {}), sim.pop("sampler", {})
+    sampler = sim.pop("sampler", {})
     seed = sim.setdefault("seed", seed)
-    if experiment == "ts-coverage":
-        shared = {key: sim[key] for key in ("methods", "seed") if key in sim}
-        run = TsCoverageConfig(innovations=family, **{"phi": 0.6, **ts}, **shared)
+    # a key the experiment would drop exits 3 rather than doing nothing
+    ts_run = experiment == "ts-coverage"
+    unused = sorted(set(sim) - {"methods", "seed", "ts"} if ts_run else set(sim) & {"ts"})
+    if unused:
+        raise DomainError(f"a {experiment} run does not read {', '.join(unused)}")
+    if ts_run:
+        run = TsCoverageConfig(innovations=family, **{"phi": 0.6, **sim.pop("ts", {})}, **sim)
     else:
         generator = Generator(family, seed=seed)
         rules = sim.pop("k", KRule()), sim.pop("levels", LevelRule())

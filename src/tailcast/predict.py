@@ -24,8 +24,9 @@ from .bayes import (
     SamplerConfig,
     default_prior,
     sample_posterior,
+    sample_posteriors,
 )
-from .errors import DomainError, InfiniteMeanError, LevelRuleError, NumericError
+from .errors import DomainError, InfiniteMeanError, LevelRuleError, NumericError, TailcastError
 from .estimation import ExceedanceSet, GpFit, fit_ml, fit_pwm, pwm_scale
 from .gpd import GpParams, LevelPair, gp_cdf_vec, gp_pdf_vec, gp_quantile_vec, shift_scale
 from .roots import brentq
@@ -38,6 +39,7 @@ __all__ = [
     "PredictiveInterval",
     "TailFit",
     "fit_tail",
+    "fit_tails",
     "freq_predictive",
     "bayes_predictive",
     "predictive_interval",
@@ -248,18 +250,49 @@ def fit_tail(
 
     The Bayesian fit defaults to :func:`default_prior` anchored on the PWM
     scale and to ``SamplerConfig()``; ``prior`` and ``sampler`` are ignored
-    by the point fits.
+    by the point fits.  :func:`fit_tails` is the batch form.
     """
+    if method == "bayes":
+        return TailFit(e, posterior=sample_posterior(*_chain_args(e, prior, sampler)))
     if method == "ml":
         return TailFit(e, fit=fit_ml(e))
     if method == "pwm":
         return TailFit(e, fit=fit_pwm(e))
-    if method == "bayes":
-        if prior is None:
-            prior = default_prior(scale_anchor=pwm_scale(e))
-        ps = sample_posterior(prior, e, sampler or SamplerConfig())
-        return TailFit(e, posterior=ps)
     raise DomainError(f"unknown method {method!r}")
+
+
+def _chain_args(e: ExceedanceSet, prior: PriorSpec | None, sampler: SamplerConfig | None):
+    """The ``(prior, e, sampler)`` a Bayesian fit of ``e`` samples with."""
+    if prior is None:
+        prior = default_prior(scale_anchor=pwm_scale(e))
+    return prior, e, sampler or SamplerConfig()
+
+
+def fit_tails(es, method: str, priors=None, samplers=None) -> list[TailFit | TailcastError]:
+    """:func:`fit_tail` of every ``(es[j], method, priors[j], samplers[j])``:
+    its :class:`TailFit`, or the :class:`TailcastError` it would raise.
+    ``priors`` and ``samplers`` default to None for every set.  The Bayesian
+    chains advance together (:func:`sample_posteriors`) with the draws
+    :func:`sample_posterior` would give each, and warn after all of them.
+    """
+    n = len(es)
+    out: list = [None] * n
+    chains = []  # (j, prior, e, sampler)
+    for j, e, prior, sampler in zip(
+        range(n), es, priors or [None] * n, samplers or [None] * n, strict=True
+    ):
+        try:
+            if method == "bayes":
+                chains.append((j, *_chain_args(e, prior, sampler)))
+            else:
+                out[j] = fit_tail(e, method)
+        except TailcastError as exc:
+            out[j] = exc
+    if chains:
+        idx, *args = zip(*chains)
+        for j, ps in zip(idx, sample_posteriors(*args)):
+            out[j] = TailFit(es[j], posterior=ps) if isinstance(ps, PosteriorSample) else ps
+    return out
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,8 @@ its seed.  A replication draws all ``n`` uniforms but maps only the top
 Replication seeds are spawned from the experiment seed through
 ``numpy.random.SeedSequence([seed, context, replication])``, which makes
 aggregates independent of execution order.  So an experiment runs in
-stages: it draws every replication, samples all of the Bayes arm's chains
-in lockstep, then evaluates each replication.
+stages: it draws every replication (or filters every window), fits all of
+a Bayes arm's tails at once, its chains in lockstep, then evaluates each.
 
 Runners check the observable consequences of the asymptotic theory:
 conditional coverage of predictive intervals, contraction of the Hellinger
@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .bayes import PosteriorSample, PriorSpec, SamplerConfig, default_prior, sample_posteriors
+from .bayes import PriorSpec, SamplerConfig, default_prior
 from .density import hellinger
 from .errors import (
     DegenerateDataError,
@@ -36,7 +36,7 @@ from .errors import (
     NumericError,
     SamplerError,
 )
-from .estimation import ExceedanceSet, SortedSample, _split_top, pwm_scale
+from .estimation import ExceedanceSet, SortedSample, _split_top
 from .gpd import (
     GpParams,
     LevelPair,
@@ -51,11 +51,12 @@ from .predict import (
     TailFit,
     extreme_level_from_c,
     fit_tail,
+    fit_tails,
     predictive_interval,
     tail_equivalence_ratio,
 )
 from .risk import es_point_forecast, var_from_predictive
-from .timeseries import conditional_predictive, fit_ar, residual_pipeline
+from .timeseries import _origin_stage, fit_ar, residual_pipeline
 
 __all__ = [
     "ExactGP",
@@ -329,8 +330,8 @@ def _replicate(methods, ctxs, evaluate) -> dict[str, _Tally]:
 
     ``ctxs`` holds every replication's draw, made before any method runs,
     so that work cheaper done for all replications at once can run between
-    the draws and the evaluations: :func:`_rows_at` samples the Bayes arm's
-    chains there, in lockstep (:func:`_bayes_fits`).
+    the draws and the evaluations: :func:`_rows_at` fits the Bayes arm's
+    tails there, its chains in lockstep (:func:`fit_tails`).
     ``evaluate(method, rep, ctx)`` returns ``(value, fell_back)``.  A
     failure in ``_REP_FAILURES`` is counted by class; any other exception
     is a bug and propagates.
@@ -374,16 +375,26 @@ def _rows_at(cfg: ExperimentConfig, n: int, n_ctx: int, evaluate, summarise):
     """One row per method at sample size ``n``.
 
     ``evaluate(method, draw, bayes_fit)`` scores one replication, where
-    ``bayes_fit`` is the replication's entry of :func:`_bayes_fits` (None
-    without a Bayes arm), and ``summarise(values)`` turns a method's scores
-    into the row's statistics.  ``n_ctx`` enters the replication seeds: the
-    ladder experiments pass ``n`` even without a ladder, the others 0.
+    ``bayes_fit`` is the replication's Bayes :class:`TailFit` or the failure
+    raised for it (None without a Bayes arm), and ``summarise(values)``
+    turns a method's scores into the row's statistics.  ``n_ctx`` enters the
+    replication seeds: the ladder experiments pass ``n`` even without a
+    ladder, the others 0.
     """
     k = cfg.k_rule.k_for(n)
     draws = [_draw(cfg, n, k, rep, n_ctx) for rep in range(cfg.replications)]
-    bayes = (
-        _bayes_fits(cfg, draws, n_ctx) if "bayes" in cfg.methods else [None] * len(draws)
-    )
+    bayes: list = [None] * len(draws)
+    if "bayes" in cfg.methods:
+        for rep, draw in enumerate(draws):
+            try:
+                bayes[rep] = draw.exceedances()
+            except _REP_FAILURES as exc:
+                bayes[rep] = exc
+        reps = [rep for rep, e in enumerate(bayes) if isinstance(e, ExceedanceSet)]
+        samplers = [replace(cfg.sampler, seed=_rep_seed(cfg.seed, rep, n_ctx)) for rep in reps]
+        fits = fit_tails([bayes[rep] for rep in reps], "bayes", [cfg.prior] * len(reps), samplers)
+        for rep, fit in zip(reps, fits):
+            bayes[rep] = fit
     tallies = _replicate(
         cfg.methods, draws, lambda method, rep, draw: evaluate(method, draw, bayes[rep])
     )
@@ -400,33 +411,6 @@ def _rows_at(cfg: ExperimentConfig, n: int, n_ctx: int, evaluate, summarise):
     ]
 
 
-def _bayes_fits(cfg: ExperimentConfig, draws: list[_Draw], n_ctx: int) -> list:
-    """Each replication's Bayes :class:`TailFit`, or the failure raised for it.
-
-    Each replication gets what ``fit_tail(e, "bayes", cfg.prior, sampler)``
-    would use: its exceedances, ``cfg.prior`` or the default prior anchored
-    on the PWM scale, and its own sampler seed.  The chains then advance
-    together (:func:`sample_posteriors`), each with the draws
-    :func:`sample_posterior` would give it.
-    """
-    fits: list = [None] * len(draws)
-    jobs = []  # (rep, prior, exceedances, sampler)
-    for rep, draw in enumerate(draws):
-        try:
-            e = draw.exceedances()
-            prior = default_prior(pwm_scale(e)) if cfg.prior is None else cfg.prior
-        except _REP_FAILURES as exc:
-            fits[rep] = exc
-        else:
-            sampler = replace(cfg.sampler, seed=_rep_seed(cfg.seed, rep, n_ctx))
-            jobs.append((rep, prior, e, sampler))
-    if jobs:
-        reps, priors, es, samplers = zip(*jobs)
-        for rep, e, ps in zip(reps, es, sample_posteriors(priors, es, samplers)):
-            fits[rep] = TailFit(e, posterior=ps) if isinstance(ps, PosteriorSample) else ps
-    return fits
-
-
 def _quantiles(values, *probs: float) -> list[float]:
     """Quantiles of ``values`` (``np.median`` at 0.5), NaN when there are none."""
     arr = np.asarray(values)
@@ -439,7 +423,7 @@ def _estimated_tail(method: str, draw: _Draw, bayes_fit):
     """(tail fit, fallback flag) for the top ``k`` of one replication's
     sample; callers read from it only the levels they use.
 
-    The Bayes arm's fit, or its failure, comes from :func:`_bayes_fits`.
+    The Bayes arm's fit, or its failure, comes from :func:`_rows_at`.
     ML falls back to PWM (flagged) so aggregates stay defined.
     """
     if method == "bayes":
@@ -747,17 +731,25 @@ def ts_coverage_experiment(cfg: TsCoverageConfig) -> list[dict]:
     eps = np.asarray(cfg.innovations.quantile(rng.random(n_total)), dtype=float)
     y = lfilter([1.0], [1.0, -cfg.phi], eps)[cfg.burn :]
     u_test = rng.random(cfg.origins)
+    windows = [y[j * stride : j * stride + cfg.window] for j in range(cfg.origins)]
+
+    def filtered(j: int):
+        ar = fit_ar(windows[j], 1, intercept=True)  # uncentered innovations need the intercept
+        rs = residual_pipeline(windows[j], ar)
+        # the extreme levels' own check fires before the fit
+        LevelPair.from_tau_star(1.0 - cfg.k / rs.residuals.size, cfg.tau_star)
+        return rs
+
+    origins = range(cfg.origins)
+    samplers = [replace(cfg.sampler, seed=_rep_seed(cfg.seed, j, n_ctx=2)) for j in origins]
+    laws = _origin_stage(filtered, origins, cfg.k, cfg.methods, cfg.prior, samplers)
 
     def evaluate(method: str, j: int, seg):
-        ar = fit_ar(seg, 1, intercept=True)  # uncentered innovations need the intercept
-        rs = residual_pipeline(seg, ar)
-        tau_i = 1.0 - cfg.k / rs.residuals.size
-        ext_levels = LevelPair.from_tau_star(tau_i, cfg.tau_star)
-        sampler = replace(cfg.sampler, seed=_rep_seed(cfg.seed, j, n_ctx=2))
-        model_ext = conditional_predictive(
-            rs, cfg.k, ext_levels, method, cfg.prior, sampler
-        )
-        interval = predictive_interval(model_ext, cfg.alpha)
+        law = laws[method][j]
+        if isinstance(law, Exception):
+            raise law
+        ext_levels = LevelPair.from_tau_star(law.levels.tau_i, cfg.tau_star)
+        interval = predictive_interval(law.at(ext_levels), cfg.alpha)
         # regenerate the next step conditionally on a tail innovation
         tau_e_inn = ext_levels.tau_e
         eps_star = float(
@@ -766,7 +758,6 @@ def ts_coverage_experiment(cfg: TsCoverageConfig) -> list[dict]:
         y_star = cfg.phi * seg[-1] + eps_star
         return int(not interval.contains(y_star)), False
 
-    windows = [y[j * stride : j * stride + cfg.window] for j in range(cfg.origins)]
     tallies = _replicate(cfg.methods, windows, evaluate)
     rows: list[dict] = []
     for method in cfg.methods:

@@ -27,7 +27,7 @@ from .errors import (
 )
 from .estimation import SortedSample, select_exceedances
 from .gpd import LevelPair
-from .predict import PredictiveModel, fit_tail, predictive_interval
+from .predict import PredictiveModel, TailFit, fit_tails, predictive_interval
 from .risk import var_from_predictive
 
 __all__ = [
@@ -532,6 +532,42 @@ class AffinePredictive(PredictiveModel):
         return AffinePredictive(self.residual_model.at(levels), self.loc, self.scale)
 
 
+# per-origin failures that fail the origin and not the run; anything else is a bug
+_ORIGIN_FAILURES = (TailcastError, ArithmeticError, np.linalg.LinAlgError)
+
+
+def _origin_stage(filtered, origins, k: int, methods, prior, samplers) -> dict[str, list]:
+    """Per method, each origin's one-step-ahead law at its intermediate level,
+    or the per-origin failure that stopped it.  ``filtered(origin)`` filters
+    the origin's window and runs the caller's checks; the top ``k`` residuals
+    are then selected once for all methods, one :func:`fit_tails` call per
+    method fits them (origin ``j`` with ``samplers[j]``), and each fit is
+    mapped by its origin's one-step-ahead location and scale."""
+    staged = []  # (mu_next, xi_next, exceedances), or the failure
+    for origin in origins:
+        try:
+            rs = filtered(origin)
+            e = select_exceedances(SortedSample.from_data(rs.residuals), k)
+            staged.append((rs.mu_next, rs.xi_next, e))
+        except _ORIGIN_FAILURES as exc:
+            staged.append(exc)
+    ok = [j for j, s in enumerate(staged) if isinstance(s, tuple)]
+    laws = {method: list(staged) for method in methods}
+    for method, out in laws.items():
+        fits = fit_tails([staged[j][2] for j in ok], method, [prior] * len(ok),
+                         [samplers[j] for j in ok])
+        for j, tail in zip(ok, fits):
+            out[j] = tail
+            if isinstance(tail, TailFit):
+                mu_next, xi_next, _ = staged[j]
+                try:
+                    inner = tail.at(LevelPair.intermediate(tail.e.tau_i))
+                    out[j] = AffinePredictive(inner, mu_next, xi_next)
+                except _ORIGIN_FAILURES as exc:
+                    out[j] = exc
+    return laws
+
+
 def conditional_predictive(
     rs: ResidualSeries,
     k: int,
@@ -545,11 +581,12 @@ def conditional_predictive(
     Builds the residual-scale predictive exactly as the iid machinery would
     on the residual array, then wraps it with the one-step-ahead affine
     map.  ``levels=None`` uses the intermediate level implied by ``k``.
+    This is the one-origin case of the stage :func:`rolling_forecast` runs.
     """
-    e = select_exceedances(SortedSample.from_data(rs.residuals), k)
-    tail = fit_tail(e, method, prior, sampler)
-    inner = tail.at(LevelPair.intermediate(e.tau_i) if levels is None else levels)
-    return AffinePredictive(inner, rs.mu_next, rs.xi_next)
+    [law] = _origin_stage(lambda _: rs, [0], k, [method], prior, [sampler])[method]
+    if isinstance(law, Exception):
+        raise law
+    return law if levels is None else law.at(levels)
 
 
 @dataclass(frozen=True)
@@ -577,7 +614,8 @@ def rolling_forecast(series, window: int, stride: int, cfg: RollingConfig) -> li
     its predictive interval on the observable scale.  A per-origin package,
     arithmetic or linear-algebra failure is recorded in the row's ``error``
     field and the run continues; any other exception is a bug and
-    propagates.
+    propagates.  The tails of all origins are fitted together
+    (:func:`_origin_stage`).
     """
     arr = np.asarray(series, dtype=float)
     external = cfg.filter == "external"
@@ -595,56 +633,58 @@ def rolling_forecast(series, window: int, stride: int, cfg: RollingConfig) -> li
     if stride < 1:
         raise DomainError(f"stride must be positive, got {stride}")
 
+    def filtered(origin: int) -> ResidualSeries:
+        j_target = origin + window
+        y = y_all[origin:j_target]
+        if external:
+            if j_target >= n:
+                raise DomainError("external filter has no row for the target step")
+            seg = arr[origin:j_target]
+            rs = residuals_from_filter(
+                y, seg[:, 1], seg[:, 2],
+                mu_next=float(arr[j_target, 1]),
+                xi_next=float(arr[j_target, 2]),
+            )
+        elif cfg.filter == "ar":
+            rs = residual_pipeline(y, fit_ar(y, cfg.ar_order))
+        elif cfg.filter == "garch11":
+            rs = residual_pipeline(y, fit_garch11(y))
+        else:
+            raise DomainError(f"unknown filter {cfg.filter!r}")
+        tau_i = 1.0 - cfg.k / rs.residuals.size
+        if cfg.tau_e < tau_i:
+            raise DomainError(
+                f"tau_e={cfg.tau_e} lies below the intermediate level {tau_i:.4f}"
+            )
+        return rs
+
+    origins = range(0, n - window + 1, stride)
+    sampler = cfg.sampler or SamplerConfig()
+    samplers = [replace(sampler, seed=_origin_seed(cfg.seed, origin)) for origin in origins]
+    laws = _origin_stage(filtered, origins, cfg.k, [cfg.method], cfg.prior, samplers)
     rows: list[dict] = []
-    for origin in range(0, n - window + 1, stride):
+    for origin, law in zip(origins, laws[cfg.method]):
         j_target = origin + window
         row: dict = {"origin": origin, "target": j_target}
         try:
-            y = y_all[origin:j_target]
-            if external:
-                if j_target >= n:
-                    raise DomainError("external filter has no row for the target step")
-                seg = arr[origin:j_target]
-                rs = residuals_from_filter(
-                    y, seg[:, 1], seg[:, 2],
-                    mu_next=float(arr[j_target, 1]),
-                    xi_next=float(arr[j_target, 2]),
-                )
-            elif cfg.filter == "ar":
-                rs = residual_pipeline(y, fit_ar(y, cfg.ar_order))
-            elif cfg.filter == "garch11":
-                rs = residual_pipeline(y, fit_garch11(y))
-            else:
-                raise DomainError(f"unknown filter {cfg.filter!r}")
-
-            n_res = rs.residuals.size
-            tau_i = 1.0 - cfg.k / n_res
-            if cfg.tau_e < tau_i:
-                raise DomainError(
-                    f"tau_e={cfg.tau_e} lies below the intermediate level {tau_i:.4f}"
-                )
-            tau_star = (1.0 - cfg.tau_e) / (1.0 - tau_i)
-            sampler = replace(
-                cfg.sampler or SamplerConfig(), seed=_origin_seed(cfg.seed, origin)
-            )
-            model_int = conditional_predictive(
-                rs, cfg.k, None, cfg.method, cfg.prior, sampler
-            )
-            model_ext = model_int.at(LevelPair.from_tau_star(tau_i, tau_star))
-            point = var_from_predictive(model_int, tau_star)
+            if isinstance(law, Exception):
+                raise law
+            tau_star = (1.0 - cfg.tau_e) / (1.0 - law.levels.tau_i)
+            model_ext = law.at(LevelPair.from_tau_star(law.levels.tau_i, tau_star))
+            point = var_from_predictive(law, tau_star)
             interval = predictive_interval(model_ext, cfg.alpha)
             realized = float(y_all[j_target]) if j_target < n else math.nan
             row.update(
-                mu_next=rs.mu_next,
-                xi_next=rs.xi_next,
-                threshold_obs=model_int.threshold,
+                mu_next=law.loc,
+                xi_next=law.scale,
+                threshold_obs=law.threshold,
                 point=point,
                 lower=interval.lower,
                 upper=interval.upper,
                 realized=realized,
                 error="",
             )
-        except (TailcastError, ArithmeticError, np.linalg.LinAlgError) as exc:
+        except _ORIGIN_FAILURES as exc:
             row.update(
                 mu_next=math.nan, xi_next=math.nan, threshold_obs=math.nan,
                 point=math.nan, lower=math.nan, upper=math.nan,

@@ -31,9 +31,11 @@ from tailcast.errors import (
     PriorError,
     SamplerError,
     SamplerHealthWarning,
+    TailcastError,
 )
 from tailcast.estimation import exceedances_from_excesses, fit_ml, fit_pwm, pwm_scale
 from tailcast.gpd import GAMMA_ZERO_TOL
+from tailcast.predict import fit_tail, fit_tails
 
 
 def flat_prior(lo=-0.45, hi=2.0):
@@ -617,6 +619,72 @@ class TestLockstep:
             want = sample_posterior(specs[j], es[j], cfgs[j])
             assert np.array_equal(out[j].gammas, want.gammas)
             assert np.array_equal(out[j].sigmas, want.sigmas)
+
+
+class TestFitTails:
+    """``fit_tails`` gives each set what ``fit_tail`` gives it: the same fit,
+    bit for bit, or the same failure, class and message."""
+
+    @staticmethod
+    def sets():
+        """Five sets at k = 120 (one lockstep group), sets at k = 119 and
+        121, a set with one excess and a set whose excesses are all equal."""
+        ks = (120, 120, 120, 120, 120, 119, None, 121, None)
+        es = [
+            exceedances_from_excesses(make_excesses(_LOCKSTEP_SHAPES[j % 5], 1.0, k, seed=400 + j))
+            for j, k in enumerate(ks) if k is not None
+        ]
+        es.insert(6, exceedances_from_excesses([1.5]))
+        es.append(exceedances_from_excesses([2.0] * 6))
+        return es
+
+    @staticmethod
+    def one_at_a_time(es, method, priors, samplers):
+        out = []
+        for args in zip(es, priors, samplers):
+            try:
+                out.append(fit_tail(args[0], method, *args[1:]))
+            except TailcastError as exc:
+                out.append(exc)
+        return out
+
+    @pytest.mark.parametrize("method", ["ml", "pwm", "bayes", "mle"])
+    def test_each_set_as_fit_tail_fits_it(self, monkeypatch, method):
+        es = self.sets()
+        # the default prior on every third set (the one-excess set too, whose
+        # PWM anchor fails), a window prior on the others, one of them below
+        # every point its heavy-tailed set admits; the k = 121 set on the
+        # default sampler
+        priors = [None if j % 3 == 0 else flat_prior() for j in range(len(es))]
+        priors[5] = flat_prior(-0.5, -0.45)
+        samplers = [SamplerConfig(seed=j, burn_in=300, draws=700) for j in range(len(es))]
+        samplers[7] = None
+        groups = _spy_on_lockstep(monkeypatch)
+        got, got_warned = _run_counted(lambda: fit_tails(es, method, priors, samplers))
+        assert groups == ([5] if method == "bayes" else [])
+        want, want_warned = _run_counted(lambda: self.one_at_a_time(es, method, priors, samplers))
+        assert got_warned == want_warned
+        for a, b in zip(got, want, strict=True):
+            if isinstance(b, Exception):
+                assert (type(a), str(a)) == (type(b), str(b))
+            elif method == "bayes":
+                assert a.e is b.e and a.fit is None
+                assert np.array_equal(a.posterior.gammas, b.posterior.gammas)
+                assert np.array_equal(a.posterior.sigmas, b.posterior.sigmas)
+                assert (a.posterior.acceptance_rate, a.posterior.ess) == (
+                    b.posterior.acceptance_rate, b.posterior.ess)
+            else:
+                assert a.e is b.e and a.posterior is None
+                assert repr(a.fit) == repr(b.fit)  # repr keeps every bit of a float
+        assert isinstance(want[6], DomainError)  # the one-excess set fails every method
+        if method == "bayes":
+            assert isinstance(want[5], SamplerError)  # a chain with no start
+
+    def test_defaults_and_empty_batch(self):
+        es = self.sets()[:4]
+        assert fit_tails([], "bayes") == []
+        got = fit_tails(es, "pwm")
+        assert [repr(t.fit) for t in got] == [repr(fit_tail(e, "pwm").fit) for e in es]
 
 
 class TestPosteriorSummary:

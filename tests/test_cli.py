@@ -345,8 +345,9 @@ class TestSimulate:
     ])
     def test_every_experiment_matches_schema(self, tmp_path, experiment, extra):
         cfg = tmp_path / "sim.json"
+        small = {} if experiment == "ts-coverage" else self.SMALL  # its ts section sizes it
         cfg.write_text(json.dumps({
-            "experiment": experiment, "generator": self.GP, **self.SMALL,
+            "experiment": experiment, "generator": self.GP, **small,
             "seed": 3, **extra,
         }))
         prefix = str(tmp_path / "run")
@@ -370,8 +371,9 @@ class TestSimulate:
         self, tmp_path, experiment, family, methods
     ):
         cfg = tmp_path / "sim.json"
+        small = {} if experiment == "ts-coverage" else self.SMALL  # keys ts-coverage refuses
         cfg.write_text(json.dumps({
-            "experiment": experiment, "generator": family, **self.SMALL,
+            "experiment": experiment, "generator": family, **small,
             "methods": methods,
         }))
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 3
@@ -391,9 +393,10 @@ class TestSimulate:
     @pytest.mark.parametrize("experiment", ["coverage", "ts-coverage"])
     def test_negative_seed_exit_3(self, tmp_path, capsys, experiment):
         cfg = tmp_path / "sim.json"
+        small = {} if experiment == "ts-coverage" else self.SMALL  # keys ts-coverage refuses
         cfg.write_text(json.dumps({
             "experiment": experiment, "generator": {"family": "pareto", "alpha": 2.0},
-            **self.SMALL, "seed": -3,
+            **small, "seed": -3,
         }))
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 3
         assert "seed must be non-negative" in capsys.readouterr().err
@@ -432,10 +435,11 @@ class TestConfig:
     """One reader checks every config section: a malformed section exits 3
     with one ``error:`` line, and a key left out takes the library's default."""
 
-    SIM = {"experiment": "coverage", "generator": {"family": "pareto", "alpha": 2.0},
-           "n": 1_000, "k": {"kind": "fixed", "k": 50}, "replications": 50}
-    TS = {**SIM, "experiment": "ts-coverage", "ts": {"window": 400, "origins": 20}}
     PARETO = {"family": "pareto", "alpha": 2.0}
+    SIM = {"experiment": "coverage", "generator": PARETO,
+           "n": 1_000, "k": {"kind": "fixed", "k": 50}, "replications": 50}
+    TS = {"experiment": "ts-coverage", "generator": PARETO,
+          "ts": {"window": 400, "origins": 20}}
 
     @pytest.mark.parametrize("command,cfg,message", [
         ("fit", {"sampler": 5}, "sampler must be a JSON object"),
@@ -500,6 +504,19 @@ class TestConfig:
         ("ts", {"prior": {"shape": {"kind": "uniform-window", "lo": -0.1, "hi": 0.2}}},
          "ts samples under the default prior"),
         ("ts-ml", {"prior": {}}, "ts samples under the default prior"),
+        # a key the experiment would drop: ts-coverage reads its settings from ts
+        ("simulate", {**SIM, "ts": {"window": 400}}, "a coverage run does not read ts"),
+        ("simulate", {**SIM, "experiment": "risk-error", "ts": None},
+         "a risk-error run does not read ts"),
+        ("simulate", {**TS, "n": 1_000}, "a ts-coverage run does not read n"),
+        ("simulate", {**TS, "k": {"kind": "fixed", "k": 50}}, "a ts-coverage run does not read k"),
+        ("simulate", {**TS, "levels": {}}, "a ts-coverage run does not read levels"),
+        ("simulate", {**TS, "alpha": 0.1}, "a ts-coverage run does not read alpha"),
+        ("simulate", {**TS, "replications": 50}, "a ts-coverage run does not read replications"),
+        ("simulate", {**TS, "n_ladder": [1_000]}, "a ts-coverage run does not read n_ladder"),
+        ("simulate", {**TS, "rel_err_tol": 0.2}, "a ts-coverage run does not read rel_err_tol"),
+        ("simulate", {**TS, "n": 1_000, "alpha": 0.1},
+         "a ts-coverage run does not read alpha, n"),
     ])
     def test_malformed_config_exits_3(self, exp_csv, series_csv, tmp_path, capsys,
                                       command, cfg, message):
@@ -547,10 +564,11 @@ class TestConfig:
 
         run = ExperimentConfig(Generator(Pareto(2.0), seed=5), 10_000, KRule(), seed=5)
         ts_run = TsCoverageConfig(phi=0.6, innovations=Pareto(2.0), seed=5)
-        for extra in ({}, {"k": {}, "levels": {}, "sampler": {}, "ts": {}}):
+        for extra in ({}, {"sampler": {}}):
             cfg = {"generator": self.PARETO, **extra}
-            assert cli._simulation({"experiment": "coverage", **cfg}, 5) == ("coverage", run)
-            assert cli._simulation({"experiment": "ts-coverage", **cfg}, 5) == (
+            assert cli._simulation({"experiment": "coverage", **cfg, "k": {}, "levels": {}},
+                                   5) == ("coverage", run)
+            assert cli._simulation({"experiment": "ts-coverage", **cfg, "ts": {}}, 5) == (
                 "ts-coverage", ts_run)
 
     def test_simulation_sampler_reads_over_the_run_defaults(self):

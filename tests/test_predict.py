@@ -313,6 +313,28 @@ class TestMixtureQuantile:
             model.quantile(0.5)
 
 
+class TestAffineEquivariance:
+    """``AffinePredictive`` maps its inner law by ``y = loc + scale * q``: its
+    cdf there is the inner cdf at ``q``, and its quantiles and interval ends
+    are the inner ones mapped."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(mixtures(), st.floats(-50.0, 50.0), st.floats(0.01, 100.0),
+           st.lists(st.floats(1e-6, 1.0 - 1e-6), min_size=1, max_size=4))
+    def test_maps_the_inner_law(self, inner, loc, scale, probs):
+        from tailcast.timeseries import AffinePredictive
+
+        model = AffinePredictive(inner, loc, scale)
+        for p in probs:
+            q = inner.quantile(p)
+            assert model.quantile(p) == loc + scale * q
+            assert model.cdf(loc + scale * q) == pytest.approx(inner.cdf(q), abs=1e-9)
+        band, inner_band = predictive_interval(model, 0.05), predictive_interval(inner, 0.05)
+        assert (band.lower, band.upper) == (loc + scale * inner_band.lower,
+                                            loc + scale * inner_band.upper)
+        assert band.alpha == inner_band.alpha
+
+
 class TestLevelRules:
     def test_endpoint_gap_published_levels_ml(self):
         for c, tau_e in ((2.0, 0.99293), (3.0, 0.99784), (4.0, 0.99907)):

@@ -9,6 +9,7 @@ from scipy import stats
 from scipy.stats import beta as beta_dist
 from scipy.stats import kstest
 
+import tailcast.predict as predict
 import tailcast.simlab as simlab
 from tailcast.bayes import (
     LogUniformScale,
@@ -529,8 +530,8 @@ class TestBayesStage:
         for sampler in (None, self.one_chain_at_a_time):
             with monkeypatch.context() as m, warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                if sampler:
-                    m.setattr(simlab, "sample_posteriors", sampler)
+                if sampler:  # the one caller of sample_posteriors is predict.fit_tails
+                    m.setattr(predict, "sample_posteriors", sampler)
                 rows.append(rows_to_csv_text(run(cfg)))
             counts.append(Counter(w.category.__name__ for w in caught))
         assert rows[0] == rows[1]

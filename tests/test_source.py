@@ -1,6 +1,7 @@
 """Every module, test and benchmark script parses as Python 3.10, the oldest
 version CI runs (its 3.10 leg runs ``perfbench/run.py --smoke``); and the
-package's GP math and its quadrature rule stay written once."""
+package's GP math, its quadrature rule and its batch tail fit stay written
+once."""
 
 import ast
 from pathlib import Path
@@ -45,6 +46,15 @@ def test_zero_shape_band_lives_in_gpd():
         p.name for p in ROOT.glob("src/tailcast/*.py") if "GAMMA_ZERO_TOL" in _names(p)
     )
     assert users == ["gpd.py"]
+
+
+def test_one_staged_entry_for_many_tails():
+    """``predict.fit_tails`` is the one caller of ``sample_posteriors``: every
+    caller that fits many tails at once goes through it."""
+    users = sorted(
+        p.name for p in ROOT.glob("src/tailcast/*.py") if "sample_posteriors" in _names(p)
+    )
+    assert users == ["predict.py"]
 
 
 def _imports(path: Path) -> set[str]:

@@ -1,7 +1,10 @@
+import json
 import math
 import os
 import subprocess
 import sys
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,8 +14,11 @@ from scipy.optimize import minimize
 from scipy.signal import lfilter
 
 import tailcast.timeseries as ts
-from tailcast.errors import DegenerateDataError, DomainError
+from tailcast.bayes import SamplerConfig
+from tailcast.errors import DegenerateDataError, DomainError, TailcastError
 from tailcast.gpd import LevelPair
+from tailcast.predict import predictive_interval
+from tailcast.risk import var_from_predictive
 from tailcast.timeseries import (
     AffinePredictive,
     ArModel,
@@ -568,6 +574,90 @@ class TestRollingForecast:
         ok = [r for r in rows if r["error"] == ""]
         assert len(ok) >= 1
         assert all(r["xi_next"] == 1.0 for r in ok)
+
+
+def one_origin_at_a_time(data, window: int, stride: int, cfg: RollingConfig) -> list[dict]:
+    """``rolling_forecast``'s rows built origin by origin through
+    ``conditional_predictive``: filter, check, fit and forecast each origin
+    before the next one (AR and external filters)."""
+    n = data.shape[0]
+    rows = []
+    for origin in range(0, n - window + 1, stride):
+        j_target = origin + window
+        row = {"origin": origin, "target": j_target}
+        try:
+            seg = data[origin:j_target]
+            if cfg.filter == "ar":
+                rs = residual_pipeline(seg, fit_ar(seg, cfg.ar_order))
+            else:
+                if j_target >= n:
+                    raise DomainError("external filter has no row for the target step")
+                rs = residuals_from_filter(seg[:, 0], seg[:, 1], seg[:, 2],
+                                           data[j_target, 1], data[j_target, 2])
+            tau_i = 1.0 - cfg.k / rs.residuals.size
+            if cfg.tau_e < tau_i:
+                raise DomainError(
+                    f"tau_e={cfg.tau_e} lies below the intermediate level {tau_i:.4f}")
+            tau_star = (1.0 - cfg.tau_e) / (1.0 - tau_i)
+            sampler = replace(cfg.sampler or SamplerConfig(),
+                              seed=ts._origin_seed(cfg.seed, origin))
+            model = conditional_predictive(rs, cfg.k, None, cfg.method, cfg.prior, sampler)
+            model_ext = model.at(LevelPair.from_tau_star(tau_i, tau_star))
+            point = var_from_predictive(model, tau_star)
+            interval = predictive_interval(model_ext, cfg.alpha)
+            y = data if data.ndim == 1 else data[:, 0]
+            row.update(mu_next=rs.mu_next, xi_next=rs.xi_next, threshold_obs=model.threshold,
+                       point=point, lower=interval.lower, upper=interval.upper,
+                       realized=float(y[j_target]) if j_target < n else math.nan, error="")
+        except TailcastError as exc:
+            row.update(dict.fromkeys(("mu_next", "xi_next", "threshold_obs", "point",
+                                      "lower", "upper", "realized"), math.nan),
+                       error=str(exc))
+        rows.append(row)
+    return rows
+
+
+class TestStagedRollingForecast:
+    """The staged rolling path gives the rows of one origin at a time, byte
+    for byte (NaN included), error strings and their order of checks too."""
+
+    @staticmethod
+    def same_rows(data, window, stride, cfg):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # ties and sampler health
+            got = rolling_forecast(data, window, stride, cfg)
+            want = one_origin_at_a_time(data, window, stride, cfg)
+        assert json.dumps(got) == json.dumps(want)
+        return [row["error"] for row in got]
+
+    def test_bayes_rows(self):
+        y, _ = simulate_ar1(0.6, 3_000, seed=21, innovations="pareto2")
+        y[1_000:1_500] = 7.0  # this window's filter fails
+        sampler = SamplerConfig(burn_in=200, draws=500)
+        cfg = RollingConfig(filter="ar", k=60, tau_e=0.999, method="bayes", seed=5,
+                            sampler=sampler)
+        errors = self.same_rows(y, 500, 500, cfg)
+        assert errors.count("") == 5 and "rank deficient" in errors[2]
+        # fewer than 100 draws: every fit fails as its law is built
+        errors = self.same_rows(y, 500, 500, replace(cfg, sampler=replace(sampler, draws=50)))
+        assert errors[2] != errors[0] and "at least 100 draws" in errors[0]
+
+    def test_ml_rows_with_failing_origins(self):
+        y, _ = simulate_ar1(0.0, 3_000, seed=22, innovations="pareto2")
+        data = np.column_stack([y, np.zeros_like(y), np.ones_like(y)])
+        data[700, 2] = -1.0  # origins 250 and 500: the filter refuses a negative scale
+        # origin 1000: one excess above 39 ties, so the ML fit fails
+        data[1_000:1_500, 0] = np.minimum(data[1_000:1_500, 0], 2.0)
+        data[1_200, 0] = 9.0
+        cfg = RollingConfig(filter="external", k=40, tau_e=0.999, method="ml")
+        errors = self.same_rows(data, 500, 250, cfg)
+        assert "scales must be positive" in errors[1] and errors[1] == errors[2]
+        assert "at least 2 excesses" in errors[4]
+        assert "no row for the target step" in errors[-1]
+        assert errors.count("") == len(errors) - 4
+        # tau_e below every intermediate level: the filter's failure still comes first
+        errors = self.same_rows(data, 500, 250, replace(cfg, tau_e=0.9))
+        assert "scales must be positive" in errors[1] and "lies below" in errors[0]
 
 
 class TestAffinePredictive:
