@@ -71,7 +71,6 @@ from .risk import (
     var_from_predictive,
 )
 from .timeseries import (
-    AffinePredictive,
     ArModel,
     Garch11Model,
     ResidualSeries,

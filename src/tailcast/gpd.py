@@ -159,8 +159,9 @@ def gp_cdf_vec(gamma, sigma, x):
     zero = _near_zero(gamma)
     g = np.where(zero, 1.0, gamma)  # near-zero shapes take the exponential branch
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        base = 1.0 + g * x / sigma
-        out = -np.expm1(-np.log(base) / g)
+        t = g * x / sigma
+        base = 1.0 + t  # the support test only: log1p keeps t's precision
+        out = -np.expm1(-np.log1p(t) / g)
         if zero.any():
             out = np.where(zero, -np.expm1(-x / sigma), out)
     # past the endpoint (base <= 0, only reachable when gamma < 0) the cdf is 1
@@ -181,8 +182,9 @@ def gp_pdf_vec(gamma, sigma, x):
     zero = _near_zero(gamma)
     g = np.where(zero, 1.0, gamma)  # near-zero shapes take the exponential branch
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        base = 1.0 + g * x / sigma
-        out = np.exp(-(1.0 / g + 1.0) * np.log(base)) / sigma
+        t = g * x / sigma
+        base = 1.0 + t  # the support test only: log1p keeps t's precision
+        out = np.exp(-(1.0 / g + 1.0) * np.log1p(t)) / sigma
         if zero.any():
             out = np.where(zero, np.exp(-x / sigma) / sigma, out)
     return np.where((x >= 0.0) & (zero | (base > 0.0)), out, 0.0)
@@ -250,7 +252,9 @@ def gp_loglik(x: np.ndarray) -> Callable[..., float]:
 
 
 def gp_quantile(p: GpParams, prob: float) -> float:
-    """Inverse cdf.  Round-trips with ``gp_cdf`` to ~1e-10 relative."""
+    """Inverse cdf.  ``gp_cdf`` of it is ``prob`` within 1e-10 absolute for
+    ``prob`` in [1e-6, 1 - 1e-6], scales in [0.01, 100] and shapes on both
+    sides of the zero-shape band (a hypothesis test asserts this)."""
     return _as_float(gp_quantile_vec(p.gamma, p.sigma, prob), prob)
 
 

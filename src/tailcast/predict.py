@@ -1,20 +1,24 @@
 """Frequentist and Bayesian predictive laws for future peaks.
 
 A predictive model is an evaluable law (cdf / pdf / quantile / mean) for
-the next observation given that it exceeds an extreme threshold.  Both
-kinds are one law, :class:`MixturePredictive`: an equal-weight mixture of
+the next observation given that it exceeds an extreme threshold.  Every
+law is one class, :class:`MixturePredictive`: an equal-weight mixture of
 the affine GP map (:func:`~tailcast.gpd.shift_scale`) over (shape, scale)
 draws, anchored at the sample threshold.  The Bayesian kind mixes the
 posterior draws; the frequentist kind is the mixture of one draw, the
 plugged-in estimate, whose quantile the mixture gives in closed form.
-Extreme levels are chosen either directly, through the endpoint-gap factor
-``c`` (short tails), or through a return period.
+A law reads its fit at other levels with ``at(levels)``, and maps to
+another scale with ``affine(loc, scale)``: GP laws are closed under
+``y -> loc + scale * y``, so the observable-scale law of a filtered series
+is a law of the same kind.  Extreme levels are chosen either directly,
+through the endpoint-gap factor ``c`` (short tails), or through a return
+period.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,7 +36,6 @@ from .gpd import GpParams, LevelPair, gp_cdf_vec, gp_pdf_vec, gp_quantile_vec, s
 from .roots import brentq
 
 __all__ = [
-    "PredictiveModel",
     "MixturePredictive",
     "FrequentistPredictive",
     "BayesianPredictive",
@@ -54,41 +57,10 @@ __all__ = [
 _BLOCK = 64 * 2_500  # (points x draws) values per block when a mixture evaluates an array
 
 
-class PredictiveModel:
-    """Common surface of the predictive laws; concrete kinds implement the math."""
-
-    kind: str
-    threshold: float
-    levels: LevelPair
-    mass_check_tol: float
-
-    def cdf(self, y):
-        raise NotImplementedError
-
-    def pdf(self, y):
-        raise NotImplementedError
-
-    def quantile(self, prob):
-        raise NotImplementedError
-
-    def mean(self) -> float:
-        raise NotImplementedError
-
-    def support_lower(self) -> float:
-        raise NotImplementedError
-
-    def support_upper(self) -> float:
-        raise NotImplementedError
-
-    def at(self, levels: LevelPair) -> PredictiveModel:
-        """The same fitted law, read at other levels."""
-        raise NotImplementedError
-
-
-class MixturePredictive(PredictiveModel):
+class MixturePredictive:
     """Equal-weight mixture of the affine predictive map over (shape, scale)
-    draws, anchored at ``threshold``.  The kinds below set ``kind`` and
-    ``mass_check_tol``."""
+    draws, anchored at ``threshold``.  The kinds below set ``mass_check_tol``
+    and rebuild themselves for :meth:`at` and :meth:`affine`."""
 
     def __init__(self, gammas, sigmas, threshold: float, levels: LevelPair):
         self._g = np.asarray(gammas, dtype=float)
@@ -161,6 +133,18 @@ class MixturePredictive(PredictiveModel):
             return math.inf
         return float((self._onset + self._scale * (-self._s / self._g)).max())
 
+    def affine(self, loc: float, scale: float) -> MixturePredictive:
+        """The law of ``loc + scale * Y`` for ``Y`` of this law, ``scale > 0``.
+
+        If ``Y - t ~ GP(g, s)`` then ``loc + scale*Y - (loc + scale*t) ~
+        GP(g, scale*s)``, and the predictive shift is linear in ``s``, so
+        the map is a law of the same kind with every scale multiplied by
+        ``scale``, and it commutes with :meth:`at`.
+        """
+        if scale <= 0.0:
+            raise DomainError(f"affine scale must be positive, got {scale}")
+        return self._rescaled(loc + scale * self.threshold, scale)
+
 
 # each kind holds the law's methods in its own namespace, where
 # perfbench/tracing.py wraps them to time the two kinds apart
@@ -172,7 +156,6 @@ class FrequentistPredictive(MixturePredictive):
     """Plug-in GP predictive law anchored at the sample threshold: the
     mixture of one draw, the estimate."""
 
-    kind = "frequentist"
     mass_check_tol = 1e-8
     cdf, pdf, quantile, mean = _LAW
 
@@ -183,11 +166,14 @@ class FrequentistPredictive(MixturePredictive):
     def at(self, levels: LevelPair) -> FrequentistPredictive:
         return FrequentistPredictive(self.params, self.threshold, levels)
 
+    def _rescaled(self, threshold: float, scale: float) -> FrequentistPredictive:
+        p = self.params
+        return FrequentistPredictive(GpParams(p.gamma, scale * p.sigma), threshold, self.levels)
+
 
 class BayesianPredictive(MixturePredictive):
     """Equal-weight mixture of per-draw predictive transforms over a posterior."""
 
-    kind = "bayesian"
     mass_check_tol = 1e-4
     cdf, pdf, quantile, mean = _LAW
 
@@ -201,6 +187,10 @@ class BayesianPredictive(MixturePredictive):
 
     def at(self, levels: LevelPair) -> BayesianPredictive:
         return BayesianPredictive(self.draws, self.threshold, levels)
+
+    def _rescaled(self, threshold: float, scale: float) -> BayesianPredictive:
+        draws = replace(self.draws, sigmas=scale * self.draws.sigmas, threshold=threshold)
+        return BayesianPredictive(draws, threshold, self.levels)
 
 
 def freq_predictive(fit: GpFit, levels: LevelPair) -> FrequentistPredictive:
@@ -234,7 +224,7 @@ class TailFit:
             return self.fit.params.gamma
         return float(np.mean(self.posterior.gammas))
 
-    def at(self, levels: LevelPair) -> PredictiveModel:
+    def at(self, levels: LevelPair) -> MixturePredictive:
         if self.fit is not None:
             return freq_predictive(self.fit, levels)
         return bayes_predictive(self.posterior, self.e.threshold, levels)
@@ -310,7 +300,7 @@ class PredictiveInterval:
         return self.lower <= y <= self.upper
 
 
-def predictive_interval(m: PredictiveModel, alpha: float) -> PredictiveInterval:
+def predictive_interval(m: MixturePredictive, alpha: float) -> PredictiveInterval:
     """Equal-tailed interval carrying ``1 - alpha`` of the predictive mass.
 
     The mass condition is re-verified through the model cdf; a violation
@@ -379,7 +369,7 @@ def extreme_level_from_return_period(T: int, n: int) -> ReturnPeriodLevels:
     return ReturnPeriodLevels(levels=levels, k=k, T=T)
 
 
-def unconditional_tail_cdf(m: PredictiveModel, y: float) -> float:
+def unconditional_tail_cdf(m: MixturePredictive, y: float) -> float:
     """Tail-composed cdf ``tau_i + (1 - tau_i) * m.cdf(y)`` for ``y`` past the threshold.
 
     Requires a model built with no extrapolation (tail ratio 1), since the
@@ -394,7 +384,7 @@ def unconditional_tail_cdf(m: PredictiveModel, y: float) -> float:
 
 
 def tail_equivalence_ratio(
-    m: PredictiveModel, oracle_quantile: float, tau_star: float
+    m: MixturePredictive, oracle_quantile: float, tau_star: float
 ) -> float:
     """Forecast exceedance mass at the true quantile, relative to its target.
 
@@ -408,7 +398,7 @@ def tail_equivalence_ratio(
 
 
 def prediction_grid(
-    m: PredictiveModel, lo: float, hi: float, count: int
+    m: MixturePredictive, lo: float, hi: float, count: int
 ) -> np.ndarray:
     """(y, pdf, cdf) triples on an equally spaced grid, ready for plotting tools."""
     if count < 2:

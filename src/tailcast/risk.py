@@ -19,8 +19,8 @@ from .estimation import ExceedanceSet, GpFit
 from .gpd import LevelPair, shift_scale
 from .predict import (
     BayesianPredictive,
+    MixturePredictive,
     PredictiveInterval,
-    PredictiveModel,
     extreme_level_from_return_period,
     predictive_interval,
 )
@@ -59,7 +59,7 @@ def extreme_var(fit: GpFit, e: ExceedanceSet, tau_e: float) -> float:
     return e.threshold + shift
 
 
-def var_from_predictive(m: PredictiveModel, tau_star: float) -> float:
+def var_from_predictive(m: MixturePredictive, tau_star: float) -> float:
     """Quantile of the intermediate predictive law at probability ``1 - tau_star``.
 
     For the frequentist kind, the mixture of one draw, this is the closed
@@ -91,17 +91,15 @@ def es_first_order(var_value: float, gamma: float) -> float:
     return var_value
 
 
-def es_point_forecast(m: PredictiveModel, levels: LevelPair | None = None) -> float:
+def es_point_forecast(m: MixturePredictive, levels: LevelPair | None = None) -> float:
     """Expected shortfall as the mean of the predictive law at the extreme level.
 
     Closed-form predictive means keep this exact and cheap inside
     replication loops.  Bayesian models are gated on the shape prior:
     support reaching 1 or beyond would admit draws with infinite means.
     """
-    # a conditional law's gate is that of the mixture behind its affine map
-    mixture = getattr(m, "residual_model", m)
-    if isinstance(mixture, BayesianPredictive):
-        lo, hi = mixture.draws.shape_support
+    if isinstance(m, BayesianPredictive):
+        lo, hi = m.draws.shape_support
         if hi > 1.0:
             raise InfiniteMeanError(
                 f"shape prior support ({lo}, {hi}) reaches 1; expected-shortfall "
@@ -153,7 +151,7 @@ def return_level_curve(
 
 
 def shortfall_report(
-    m: PredictiveModel,
+    m: MixturePredictive,
     tau_e: float,
     method: str,
     interval_alpha: float | None = None,

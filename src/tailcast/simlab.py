@@ -742,7 +742,7 @@ def ts_coverage_experiment(cfg: TsCoverageConfig) -> list[dict]:
 
     origins = range(cfg.origins)
     samplers = [replace(cfg.sampler, seed=_rep_seed(cfg.seed, j, n_ctx=2)) for j in origins]
-    laws = _origin_stage(filtered, origins, cfg.k, cfg.methods, cfg.prior, samplers)
+    _, laws = _origin_stage(filtered, origins, cfg.k, cfg.methods, cfg.prior, samplers)
 
     def evaluate(method: str, j: int, seg):
         law = laws[method][j]

@@ -27,14 +27,13 @@ from .errors import (
 )
 from .estimation import SortedSample, select_exceedances
 from .gpd import LevelPair
-from .predict import PredictiveModel, TailFit, fit_tails, predictive_interval
+from .predict import MixturePredictive, TailFit, fit_tails, predictive_interval
 from .risk import var_from_predictive
 
 __all__ = [
     "ArModel",
     "Garch11Model",
     "ResidualSeries",
-    "AffinePredictive",
     "RollingConfig",
     "fit_ar",
     "fit_garch11",
@@ -486,63 +485,21 @@ def residuals_from_filter(series, mu, xi, mu_next: float, xi_next: float) -> Res
     )
 
 
-class AffinePredictive(PredictiveModel):
-    """A residual-scale predictive law mapped to the observable scale.
-
-    Densities carry the 1/scale Jacobian; quantiles and intervals map
-    affinely, so the observable-scale interval is exactly
-    ``loc + scale * residual interval``.
-    """
-
-    def __init__(self, inner: PredictiveModel, loc: float, scale: float):
-        if scale <= 0.0:
-            raise DomainError(f"affine scale must be positive, got {scale}")
-        self.residual_model = inner
-        self.loc = float(loc)
-        self.scale = float(scale)
-        self.kind = f"conditional-{inner.kind}"
-        self.levels = inner.levels
-        self.mass_check_tol = inner.mass_check_tol
-
-    @property
-    def threshold(self) -> float:
-        return self.loc + self.scale * self.residual_model.threshold
-
-    def cdf(self, y):
-        z = (np.asarray(y, dtype=float) - self.loc) / self.scale
-        return self.residual_model.cdf(z if np.ndim(y) else float(z))
-
-    def pdf(self, y):
-        z = (np.asarray(y, dtype=float) - self.loc) / self.scale
-        return self.residual_model.pdf(z if np.ndim(y) else float(z)) / self.scale
-
-    def quantile(self, prob):
-        return self.loc + self.scale * self.residual_model.quantile(prob)
-
-    def mean(self) -> float:
-        return self.loc + self.scale * self.residual_model.mean()
-
-    def support_lower(self) -> float:
-        return self.loc + self.scale * self.residual_model.support_lower()
-
-    def support_upper(self) -> float:
-        return self.loc + self.scale * self.residual_model.support_upper()
-
-    def at(self, levels: LevelPair) -> AffinePredictive:
-        return AffinePredictive(self.residual_model.at(levels), self.loc, self.scale)
-
-
 # per-origin failures that fail the origin and not the run; anything else is a bug
 _ORIGIN_FAILURES = (TailcastError, ArithmeticError, np.linalg.LinAlgError)
 
 
-def _origin_stage(filtered, origins, k: int, methods, prior, samplers) -> dict[str, list]:
-    """Per method, each origin's one-step-ahead law at its intermediate level,
-    or the per-origin failure that stopped it.  ``filtered(origin)`` filters
-    the origin's window and runs the caller's checks; the top ``k`` residuals
-    are then selected once for all methods, one :func:`fit_tails` call per
-    method fits them (origin ``j`` with ``samplers[j]``), and each fit is
-    mapped by its origin's one-step-ahead location and scale."""
+def _origin_stage(
+    filtered, origins, k: int, methods, prior, samplers
+) -> tuple[list, dict[str, list]]:
+    """``(staged, laws)``: ``staged[j]`` holds origin ``j``'s ``(mu_next,
+    xi_next, exceedances)`` and ``laws[method][j]`` its one-step-ahead law at
+    its intermediate level, or either the per-origin failure that stopped it.
+    ``filtered(origin)`` filters the origin's window and runs the caller's
+    checks; the top ``k`` residuals are then selected once for all methods,
+    one :func:`fit_tails` call per method fits them (origin ``j`` with
+    ``samplers[j]``), and each fit's law is mapped by its origin's
+    one-step-ahead location and scale (``affine``)."""
     staged = []  # (mu_next, xi_next, exceedances), or the failure
     for origin in origins:
         try:
@@ -561,11 +518,11 @@ def _origin_stage(filtered, origins, k: int, methods, prior, samplers) -> dict[s
             if isinstance(tail, TailFit):
                 mu_next, xi_next, _ = staged[j]
                 try:
-                    inner = tail.at(LevelPair.intermediate(tail.e.tau_i))
-                    out[j] = AffinePredictive(inner, mu_next, xi_next)
+                    law = tail.at(LevelPair.intermediate(tail.e.tau_i))
+                    out[j] = law.affine(mu_next, xi_next)
                 except _ORIGIN_FAILURES as exc:
                     out[j] = exc
-    return laws
+    return staged, laws
 
 
 def conditional_predictive(
@@ -575,15 +532,16 @@ def conditional_predictive(
     method: str = "ml",
     prior: PriorSpec | None = None,
     sampler: SamplerConfig | None = None,
-) -> AffinePredictive:
+) -> MixturePredictive:
     """Predictive law of the next observation given it exceeds the extreme level.
 
     Builds the residual-scale predictive exactly as the iid machinery would
-    on the residual array, then wraps it with the one-step-ahead affine
-    map.  ``levels=None`` uses the intermediate level implied by ``k``.
-    This is the one-origin case of the stage :func:`rolling_forecast` runs.
+    on the residual array, then maps it by the one-step-ahead location and
+    scale (``affine``): a law of the same kind on the observable scale.
+    ``levels=None`` uses the intermediate level implied by ``k``.  This is
+    the one-origin case of the stage :func:`rolling_forecast` runs.
     """
-    [law] = _origin_stage(lambda _: rs, [0], k, [method], prior, [sampler])[method]
+    [law] = _origin_stage(lambda _: rs, [0], k, [method], prior, [sampler])[1][method]
     if isinstance(law, Exception):
         raise law
     return law if levels is None else law.at(levels)
@@ -661,22 +619,23 @@ def rolling_forecast(series, window: int, stride: int, cfg: RollingConfig) -> li
     origins = range(0, n - window + 1, stride)
     sampler = cfg.sampler or SamplerConfig()
     samplers = [replace(sampler, seed=_origin_seed(cfg.seed, origin)) for origin in origins]
-    laws = _origin_stage(filtered, origins, cfg.k, [cfg.method], cfg.prior, samplers)
+    staged, laws = _origin_stage(filtered, origins, cfg.k, [cfg.method], cfg.prior, samplers)
     rows: list[dict] = []
-    for origin, law in zip(origins, laws[cfg.method]):
+    for origin, stage, law in zip(origins, staged, laws[cfg.method]):
         j_target = origin + window
         row: dict = {"origin": origin, "target": j_target}
         try:
             if isinstance(law, Exception):
                 raise law
+            mu_next, xi_next, _ = stage
             tau_star = (1.0 - cfg.tau_e) / (1.0 - law.levels.tau_i)
             model_ext = law.at(LevelPair.from_tau_star(law.levels.tau_i, tau_star))
             point = var_from_predictive(law, tau_star)
             interval = predictive_interval(model_ext, cfg.alpha)
             realized = float(y_all[j_target]) if j_target < n else math.nan
             row.update(
-                mu_next=law.loc,
-                xi_next=law.scale,
+                mu_next=mu_next,
+                xi_next=xi_next,
                 threshold_obs=law.threshold,
                 point=point,
                 lower=interval.lower,

@@ -70,6 +70,22 @@ class TestCdf:
         back = np.array([gp_cdf(p, gp_quantile(p, q)) for q in probs])
         assert np.max(np.abs(back - probs)) < 1e-10
 
+    @settings(deadline=None, max_examples=300)
+    @given(
+        st.one_of(
+            st.floats(-GAMMA_ZERO_TOL, GAMMA_ZERO_TOL),  # the exponential limit
+            st.floats(GAMMA_ZERO_TOL, 1e-5),  # past the band: rounding 1 + g*x/s costs eps/|g|
+            st.floats(-1e-5, -GAMMA_ZERO_TOL),  # and on its negative side
+            st.floats(-0.5, -0.49, exclude_min=True),  # the regular regime's edge
+        ),
+        st.floats(0.01, 100.0),
+        st.lists(st.floats(1e-6, 1.0 - 1e-6), min_size=1, max_size=8),
+    )
+    def test_roundtrip_near_the_shape_limits(self, gamma, sigma, probs):
+        p = GpParams(gamma, sigma)
+        back = [gp_cdf(p, gp_quantile(p, q)) for q in probs]
+        assert max(abs(b - q) for b, q in zip(back, probs)) <= 1e-10
+
     def test_gamma_zero_continuity(self):
         # the general branch at |gamma|=1e-7 must agree with the limit branch
         for gamma in (1e-7, -1e-7):
@@ -104,7 +120,7 @@ class TestPdf:
 
 
 def _masked_gp_pdf(gamma, sigma, x):
-    """The masked form gp_pdf_vec had: each branch on its own elements only."""
+    """The masked form of gp_pdf_vec: each branch on its own elements only."""
     gamma, sigma, x = (np.array(a) for a in np.broadcast_arrays(
         np.asarray(gamma, dtype=float), np.asarray(sigma, dtype=float),
         np.asarray(x, dtype=float)))
@@ -114,10 +130,10 @@ def _masked_gp_pdf(gamma, sigma, x):
     gen = (np.abs(gamma) >= GAMMA_ZERO_TOL) & inside
     out[zero] = np.exp(-x[zero] / sigma[zero]) / sigma[zero]
     g, s, xx = gamma[gen], sigma[gen], x[gen]
-    base = 1.0 + g * xx / s
-    vals = np.zeros_like(base)
-    ok = base > 0.0
-    vals[ok] = np.exp(-(1.0 / g[ok] + 1.0) * np.log(base[ok])) / s[ok]
+    t = g * xx / s
+    vals = np.zeros_like(t)
+    ok = 1.0 + t > 0.0
+    vals[ok] = np.exp(-(1.0 / g[ok] + 1.0) * np.log1p(t[ok])) / s[ok]
     out[gen] = vals
     return out
 
@@ -155,7 +171,10 @@ def _reference_loglik(gamma, log_sigma, x):
     if gamma <= -0.5 or any(v * -gamma >= sigma for v in x):  # at or past the endpoint
         return -math.inf
     if abs(gamma) < GAMMA_ZERO_TOL:
-        return math.fsum(-v / sigma - log_sigma for v in x)
+        try:
+            return math.fsum(-v / sigma - log_sigma for v in x)
+        except OverflowError:  # excesses near 1e308: the sum's float is -inf
+            return -math.inf
     return math.fsum(-(1.0 / gamma + 1.0) * math.log1p(gamma * v / sigma) - log_sigma for v in x)
 
 
@@ -250,7 +269,7 @@ def test_shift_scale_floats_equal_arrays(params, tau_star):
 
 
 def _masked_gp_cdf(gamma, sigma, x):
-    """The masked form gp_cdf_vec had: each branch on its own elements only."""
+    """The masked form of gp_cdf_vec: each branch on its own elements only."""
     gamma, sigma, x = (np.array(a) for a in np.broadcast_arrays(
         np.asarray(gamma, dtype=float), np.asarray(sigma, dtype=float),
         np.asarray(x, dtype=float)))
@@ -260,10 +279,10 @@ def _masked_gp_cdf(gamma, sigma, x):
     gen = (np.abs(gamma) >= GAMMA_ZERO_TOL) & pos
     out[zero] = -np.expm1(-x[zero] / sigma[zero])
     g, s, xx = gamma[gen], sigma[gen], x[gen]
-    base = 1.0 + g * xx / s
-    vals = np.ones_like(base)
-    ok = base > 0.0
-    vals[ok] = -np.expm1(-np.log(base[ok]) / g[ok])
+    t = g * xx / s
+    vals = np.ones_like(t)
+    ok = 1.0 + t > 0.0
+    vals[ok] = -np.expm1(-np.log1p(t[ok]) / g[ok])
     out[gen] = vals
     return np.clip(out, 0.0, 1.0)
 
@@ -383,6 +402,20 @@ class TestThresholdShift:
         a2 = threshold_shift(threshold_shift(p2, 1.0), 0.5)
         b2 = threshold_shift(p2, 1.5)
         assert a2 == b2
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.floats(-0.49, 3.0), st.floats(0.01, 100.0), st.floats(0.0, 1.0),
+           st.floats(0.0, 1.0))
+    def test_semigroup_over_real_shifts(self, gamma, sigma, a, b):
+        # shifts reach at most half way to a finite endpoint, so the shifted
+        # scale keeps at least half of sigma and each path rounds it to a few ulps
+        p = GpParams(gamma, sigma)
+        reach = min(100.0 * sigma, 0.5 * sigma / -gamma) if gamma < 0.0 else 100.0 * sigma
+        u = a * reach
+        v = b * (reach - u)
+        two_steps, one_step = threshold_shift(threshold_shift(p, u), v), threshold_shift(p, u + v)
+        assert two_steps.gamma == one_step.gamma == gamma
+        assert two_steps.sigma == pytest.approx(one_step.sigma, rel=1e-14, abs=0.0)
 
     def test_stability_as_law_identity(self):
         # excesses of a truncated GP sample follow the shifted law (KS check)

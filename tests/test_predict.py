@@ -313,26 +313,53 @@ class TestMixtureQuantile:
             model.quantile(0.5)
 
 
+@st.composite
+def one_draw_laws(draw):
+    """A frequentist law, the one-draw mixture, with the ranges of ``mixtures``."""
+    params = GpParams(draw(st.floats(-0.45, 0.9)), draw(st.floats(1.0, 3.0)))
+    tau_star = draw(st.sampled_from([1.0, 0.3, 0.05]))
+    return FrequentistPredictive(
+        params, draw(st.floats(0.0, 10.0)), LevelPair.from_tau_star(0.9, tau_star)
+    )
+
+
 class TestAffineEquivariance:
-    """``AffinePredictive`` maps its inner law by ``y = loc + scale * q``: its
-    cdf there is the inner cdf at ``q``, and its quantiles and interval ends
-    are the inner ones mapped."""
+    """``affine(loc, scale)`` maps a law by ``y = loc + scale * q``: its cdf
+    there is the law's cdf at ``q``, and its quantiles and interval ends are
+    the law's mapped.  The mapped law computes them from its own rescaled
+    draws, so they agree within a few ulps of the largest term for one draw,
+    and within the two root searches' tolerances for a mixture.  The unit
+    map gives the law itself, bit for bit."""
 
-    @settings(deadline=None, max_examples=40)
-    @given(mixtures(), st.floats(-50.0, 50.0), st.floats(0.01, 100.0),
-           st.lists(st.floats(1e-6, 1.0 - 1e-6), min_size=1, max_size=4))
+    @staticmethod
+    def assert_maps(inner, loc, scale, y, q):
+        if isinstance(inner, FrequentistPredictive):
+            terms = (loc, scale * inner.threshold, scale * (q - inner.threshold), y)
+            tol = 8 * np.spacing(max(abs(t) for t in terms))
+        else:  # brentq stops within 1e-10 + 4 eps |x| of each law's root
+            tol = (1.0 + scale) * 1e-10 + 8 * np.finfo(float).eps * (abs(y) + scale * abs(q))
+        assert abs(y - (loc + scale * q)) <= tol
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.one_of(mixtures(), one_draw_laws()), st.floats(-50.0, 50.0),
+           st.floats(0.01, 100.0), st.lists(st.floats(1e-6, 1.0 - 1e-6), min_size=1, max_size=4))
     def test_maps_the_inner_law(self, inner, loc, scale, probs):
-        from tailcast.timeseries import AffinePredictive
-
-        model = AffinePredictive(inner, loc, scale)
+        model = inner.affine(loc, scale)
+        assert type(model) is type(inner) and model.levels == inner.levels
+        assert model.threshold == loc + scale * inner.threshold
         for p in probs:
             q = inner.quantile(p)
-            assert model.quantile(p) == loc + scale * q
+            self.assert_maps(inner, loc, scale, model.quantile(p), q)
             assert model.cdf(loc + scale * q) == pytest.approx(inner.cdf(q), abs=1e-9)
         band, inner_band = predictive_interval(model, 0.05), predictive_interval(inner, 0.05)
-        assert (band.lower, band.upper) == (loc + scale * inner_band.lower,
-                                            loc + scale * inner_band.upper)
+        self.assert_maps(inner, loc, scale, band.lower, inner_band.lower)
+        self.assert_maps(inner, loc, scale, band.upper, inner_band.upper)
         assert band.alpha == inner_band.alpha
+        unit = inner.affine(0.0, 1.0)
+        ys = np.array([inner.support_lower(), *(inner.quantile(p) for p in probs)])
+        assert np.array_equal(unit.cdf(ys), inner.cdf(ys))
+        assert np.array_equal(unit.pdf(ys), inner.pdf(ys))
+        assert [unit.quantile(p) for p in probs] == [inner.quantile(p) for p in probs]
 
 
 class TestLevelRules:
@@ -501,10 +528,11 @@ class TestRelevel:
         self.assert_same_law(model.at(self.TO), BayesianPredictive(ps, 4.0, self.TO))
 
     def test_affine(self):
-        from tailcast.timeseries import AffinePredictive
-
-        inner = FrequentistPredictive(GpParams(0.3, 1.0), 2.0, self.FROM)
-        model = AffinePredictive(inner, 0.5, 2.0).at(self.TO)
-        built = AffinePredictive(inner.at(self.TO), 0.5, 2.0)
-        self.assert_same_law(model, built)
-        assert (model.loc, model.scale) == (built.loc, built.scale)
+        rng = np.random.default_rng(63)
+        ps = posterior_of(rng.uniform(-0.3, 0.4, 300), rng.uniform(0.8, 1.2, 300), 2.0)
+        for inner in (FrequentistPredictive(GpParams(0.3, 1.0), 2.0, self.FROM),
+                      BayesianPredictive(ps, 2.0, self.FROM)):
+            model = inner.affine(0.5, 2.0).at(self.TO)
+            built = inner.at(self.TO).affine(0.5, 2.0)
+            self.assert_same_law(model, built)
+            assert model.threshold == built.threshold == 4.5

@@ -1,7 +1,7 @@
-"""Every module, test and benchmark script parses as Python 3.10, the oldest
-version CI runs (its 3.10 leg runs ``perfbench/run.py --smoke``); and the
-package's GP math, its quadrature rule and its batch tail fit stay written
-once."""
+"""Every module, test, benchmark script and tool parses as Python 3.10, the
+oldest version CI runs (its 3.10 leg runs ``perfbench/run.py --smoke``); and
+the package's GP math, its predictive law, its quadrature rule and its batch
+tail fit stay written once."""
 
 import ast
 from pathlib import Path
@@ -10,7 +10,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(
-    [*ROOT.glob("src/**/*.py"), *ROOT.glob("tests/**/*.py"), *ROOT.glob("perfbench/*.py")]
+    [*ROOT.glob("src/**/*.py"), *ROOT.glob("tests/**/*.py"), *ROOT.glob("perfbench/*.py"),
+     *ROOT.glob("tools/*.py")]
 )
 
 
@@ -18,6 +19,7 @@ def test_files_found():
     assert any(p.name == "simlab.py" for p in FILES)
     assert any(p.name == "test_source.py" for p in FILES)
     assert any(p.name == "run.py" for p in FILES)
+    assert any(p.name == "garch_compare.py" for p in FILES)
 
 
 @pytest.mark.parametrize("path", FILES, ids=lambda p: p.relative_to(ROOT).as_posix())
@@ -55,6 +57,26 @@ def test_one_staged_entry_for_many_tails():
         p.name for p in ROOT.glob("src/tailcast/*.py") if "sample_posteriors" in _names(p)
     )
     assert users == ["predict.py"]
+
+
+def test_one_predictive_law():
+    """Every predictive law is a ``predict.MixturePredictive``: outside
+    predict.py no class defines ``cdf`` or ``pdf``, and the only classes
+    with a ``quantile`` are simlab's data families, which map uniforms to
+    simulated draws."""
+    found = {}
+    for p in ROOT.glob("src/tailcast/*.py"):
+        if p.name == "predict.py":
+            continue
+        for node in ast.walk(ast.parse(p.read_text(encoding="utf-8"), filename=str(p))):
+            if isinstance(node, ast.ClassDef):
+                methods = {f.name for f in node.body if isinstance(f, ast.FunctionDef)}
+                if methods & {"cdf", "pdf", "quantile"}:
+                    found[f"{p.name}:{node.name}"] = methods & {"cdf", "pdf", "quantile"}
+    assert found and all(
+        where.startswith("simlab.py:") and methods == {"quantile"}
+        for where, methods in found.items()
+    ), found
 
 
 def _imports(path: Path) -> set[str]:

@@ -16,11 +16,11 @@ from scipy.signal import lfilter
 import tailcast.timeseries as ts
 from tailcast.bayes import SamplerConfig
 from tailcast.errors import DegenerateDataError, DomainError, TailcastError
-from tailcast.gpd import LevelPair
-from tailcast.predict import predictive_interval
+from tailcast.estimation import SortedSample, select_exceedances
+from tailcast.gpd import GpParams, LevelPair
+from tailcast.predict import fit_tail, predictive_interval
 from tailcast.risk import var_from_predictive
 from tailcast.timeseries import (
-    AffinePredictive,
     ArModel,
     Garch11Model,
     RollingConfig,
@@ -429,25 +429,48 @@ class TestExternalFilter:
             residuals_from_filter(y, np.zeros(10), np.zeros(10), 0.0, 1.0)
 
 
+def direct_law(rs, k, method="ml", sampler=None):
+    """The residual-scale law the iid machinery fits on the residual array."""
+    e = select_exceedances(SortedSample.from_data(rs.residuals), k)
+    return fit_tail(e, method, sampler=sampler).at(LevelPair.intermediate(e.tau_i))
+
+
+def assert_mapped(got, residual_value, rs, method):
+    """``got`` is ``mu_next + xi_next * residual_value``: within a few ulps for
+    the one-draw law, which forms it from its rescaled scale, and within the
+    two root searches' tolerances (1e-10 + 4 eps |x| each) for a mixture."""
+    expected = rs.mu_next + rs.xi_next * residual_value
+    if method == "ml":
+        tol = 8 * np.spacing(max(abs(rs.mu_next), abs(expected)))
+    else:
+        tol = (1.0 + rs.xi_next) * 1e-10 + 16 * np.finfo(float).eps * abs(expected)
+    assert abs(got - expected) <= tol
+
+
 class TestConditionalPredictive:
     def test_unit_filter_matches_residual_model(self):
+        # under the unit map the observable-scale law is the direct fit's, bit for bit
         y, _ = simulate_ar1(0.0, 3_000, seed=10, innovations="pareto2")
         rs = residuals_from_filter(
             y, np.zeros_like(y), np.ones_like(y), mu_next=0.0, xi_next=1.0
         )
-        model = conditional_predictive(rs, k=300, levels=None, method="ml")
-        inner = model.residual_model
-        for prob in (0.1, 0.5, 0.9):
-            assert model.quantile(prob) == pytest.approx(inner.quantile(prob))
+        sampler = SamplerConfig(seed=3, burn_in=300, draws=600)
+        for method in ("ml", "bayes"):
+            model = conditional_predictive(rs, 300, None, method, sampler=sampler)
+            direct = direct_law(rs, 300, method, sampler)
+            assert type(model) is type(direct)
+            assert (model.threshold, model.levels) == (direct.threshold, direct.levels)
+            ys = np.linspace(direct.support_lower(), direct.quantile(0.99), 20)
+            assert np.array_equal(model.cdf(ys), direct.cdf(ys))
+            assert np.array_equal(model.pdf(ys), direct.pdf(ys))
+            for prob in (0.1, 0.5, 0.9):
+                assert model.quantile(prob) == direct.quantile(prob)
 
     def test_interval_maps_affinely(self):
-        from tailcast.predict import predictive_interval
-
         y, _ = simulate_ar1(0.6, 3_000, seed=11, innovations="pareto2")
         rs = residual_pipeline(y, fit_ar(y, 1))
-        levels = None
-        model = conditional_predictive(rs, k=300, levels=levels, method="ml")
-        inner_band = predictive_interval(model.residual_model, 0.01)
+        model = conditional_predictive(rs, k=300, levels=None, method="ml")
+        inner_band = predictive_interval(direct_law(rs, 300), 0.01)
         outer_band = predictive_interval(model, 0.01)
         assert outer_band.lower == pytest.approx(
             rs.mu_next + rs.xi_next * inner_band.lower, rel=1e-12
@@ -460,31 +483,24 @@ class TestConditionalPredictive:
         y, _ = simulate_ar1(0.3, 3_000, seed=12, innovations="pareto2")
         rs = residual_pipeline(y, fit_ar(y, 1))
         model = conditional_predictive(rs, k=300, levels=None, method="ml")
-        z = model.residual_model.quantile(0.5)
+        inner = direct_law(rs, 300)
+        z = inner.quantile(0.5)
         y_obs = rs.mu_next + rs.xi_next * z
-        assert model.pdf(y_obs) == pytest.approx(
-            model.residual_model.pdf(z) / rs.xi_next, rel=1e-12
-        )
+        assert model.pdf(y_obs) == pytest.approx(inner.pdf(z) / rs.xi_next, rel=1e-12)
 
     def test_residual_model_identical_to_direct_fit(self):
-        # the wrapped residual-scale model must be exactly what the iid
-        # machinery produces on the residual array
-        from tailcast.estimation import SortedSample, fit_ml, select_exceedances
-        from tailcast.predict import freq_predictive
-        from tailcast.gpd import LevelPair
-
+        # the observable-scale law is the direct fit's law on the residual
+        # array, with its scale times xi_next and its threshold mapped
         y, _ = simulate_ar1(0.6, 3_000, seed=41, innovations="pareto2")
         rs = residual_pipeline(y, fit_ar(y, 1))
         model = conditional_predictive(rs, k=300, levels=None, method="ml")
-        e = select_exceedances(SortedSample.from_data(rs.residuals), 300)
-        direct = freq_predictive(fit_ml(e), LevelPair.intermediate(e.tau_i))
-        assert model.residual_model.params == direct.params
-        assert model.residual_model.threshold == direct.threshold
-        assert model.residual_model.levels == direct.levels
+        direct = direct_law(rs, 300)
+        assert model.params == GpParams(direct.params.gamma, rs.xi_next * direct.params.sigma)
+        assert model.threshold == rs.mu_next + rs.xi_next * direct.threshold
+        assert model.levels == direct.levels
 
     @pytest.mark.parametrize("method", ["ml", "bayes"])
     def test_shortfall_report_maps_affinely(self, method):
-        from tailcast.bayes import SamplerConfig
         from tailcast.risk import shortfall_report
 
         y, _ = simulate_ar1(0.6, 3_000, seed=14, innovations="pareto2")
@@ -492,16 +508,13 @@ class TestConditionalPredictive:
         sampler = SamplerConfig(seed=3, burn_in=300, draws=600)
         model = conditional_predictive(rs, 300, None, method, sampler=sampler)
         outer = shortfall_report(model, 0.9995, method, interval_alpha=0.05)
-        inner = shortfall_report(model.residual_model, 0.9995, method, interval_alpha=0.05)
-
-        def affine(v):
-            return rs.mu_next + rs.xi_next * v
-
-        assert outer.var_point == affine(inner.var_point)
-        assert outer.interval.lower == affine(inner.interval.lower)
-        assert outer.interval.upper == affine(inner.interval.upper)
+        inner = shortfall_report(direct_law(rs, 300, method, sampler), 0.9995, method,
+                                 interval_alpha=0.05)
+        assert_mapped(outer.var_point, inner.var_point, rs, method)
+        assert_mapped(outer.interval.lower, inner.interval.lower, rs, method)
+        assert_mapped(outer.interval.upper, inner.interval.upper, rs, method)
         if method == "ml":
-            assert outer.es_point == affine(inner.es_point)
+            assert_mapped(outer.es_point, inner.es_point, rs, method)
         else:  # the default shape prior reaches 1, so neither report has an ES
             assert outer.es_point is None and inner.es_point is None
             assert outer.es_reason == inner.es_reason
@@ -666,9 +679,10 @@ class TestAffinePredictive:
         rs = residuals_from_filter(
             y, np.zeros_like(y), np.ones_like(y), mu_next=0.0, xi_next=1.0
         )
-        inner = conditional_predictive(rs, k=200, levels=None, method="ml").residual_model
-        with pytest.raises(DomainError):
-            AffinePredictive(inner, 0.0, -1.0)
+        model = conditional_predictive(rs, k=200, levels=None, method="ml")
+        for scale in (0.0, -1.0):
+            with pytest.raises(DomainError, match="affine scale must be positive"):
+                model.affine(0.0, scale)
 
     def test_threshold_on_observable_scale(self):
         y, _ = simulate_ar1(0.0, 2_000, seed=19, innovations="pareto2")
@@ -676,9 +690,7 @@ class TestAffinePredictive:
             y, np.zeros_like(y), 2.0 * np.ones_like(y), mu_next=3.0, xi_next=2.0
         )
         model = conditional_predictive(rs, k=200, levels=None, method="ml")
-        assert model.threshold == pytest.approx(
-            3.0 + 2.0 * model.residual_model.threshold
-        )
+        assert model.threshold == 3.0 + 2.0 * direct_law(rs, 200).threshold
 
 
 class TestModelValidation:
