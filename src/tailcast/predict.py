@@ -258,12 +258,13 @@ def _chain_args(e: ExceedanceSet, prior: PriorSpec | None, sampler: SamplerConfi
     return prior, e, sampler or SamplerConfig()
 
 
-def fit_tails(es, method: str, priors=None, samplers=None) -> list[TailFit | TailcastError]:
+def fit_tails(es, method: str, priors=None, samplers=None) -> list[TailFit | Exception]:
     """:func:`fit_tail` of every ``(es[j], method, priors[j], samplers[j])``:
-    its :class:`TailFit`, or the :class:`TailcastError` it would raise.
-    ``priors`` and ``samplers`` default to None for every set.  The Bayesian
-    chains advance together (:func:`sample_posteriors`) with the draws
-    :func:`sample_posterior` would give each, and warn after all of them.
+    its :class:`TailFit`, or the :class:`TailcastError` it would raise.  An
+    exception in a set's place, a selection that failed, comes back as is,
+    unfitted.  ``priors`` and ``samplers`` default to None for every set.
+    The Bayesian chains advance together (:func:`sample_posteriors`) with
+    the draws :func:`sample_posterior` would give each, and warn after all.
     """
     n = len(es)
     out: list = [None] * n
@@ -272,7 +273,9 @@ def fit_tails(es, method: str, priors=None, samplers=None) -> list[TailFit | Tai
         range(n), es, priors or [None] * n, samplers or [None] * n, strict=True
     ):
         try:
-            if method == "bayes":
+            if isinstance(e, Exception):
+                out[j] = e
+            elif method == "bayes":
                 chains.append((j, *_chain_args(e, prior, sampler)))
             else:
                 out[j] = fit_tail(e, method)

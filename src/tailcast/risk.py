@@ -125,6 +125,8 @@ def return_level_curve(
     strings so one bad period does not kill the curve; any other exception
     is a bug and propagates.
     """
+    if not 0.0 < alpha < 1.0:
+        raise DomainError(f"alpha must lie in (0,1), got {alpha}")
     rows: list[dict] = []
     for T in T_range:
         row: dict = {"T": int(T)}

@@ -7,8 +7,10 @@ its seed.  A replication draws all ``n`` uniforms but maps only the top
 Replication seeds are spawned from the experiment seed through
 ``numpy.random.SeedSequence([seed, context, replication])``, which makes
 aggregates independent of execution order.  So an experiment runs in
-stages: it draws every replication (or filters every window), fits all of
-a Bayes arm's tails at once, its chains in lockstep, then evaluates each.
+stages: it draws every replication (or filters every window), selects its
+exceedances once, fits each arm's tails in one :func:`fit_tails` call (the
+Bayes arm's chains in lockstep), then evaluates each replication from its
+fits alone.
 
 Runners check the observable consequences of the asymptotic theory:
 conditional coverage of predictive intervals, contraction of the Hellinger
@@ -50,7 +52,6 @@ from .predict import (
     PredictiveInterval,
     TailFit,
     extreme_level_from_c,
-    fit_tail,
     fit_tails,
     predictive_interval,
     tail_equivalence_ratio,
@@ -289,10 +290,12 @@ def _check_seed(seed: int, what: str) -> None:
 
 
 def _check_methods(methods, supported) -> None:
-    """Refuse an arm that would fail every replication."""
+    """Refuse an arm that would fail every replication, or run twice."""
     for m in methods:
         if m not in supported:
             raise DomainError(f"method {m!r} is not one of {', '.join(supported)}")
+    if len(set(methods)) < len(methods):
+        raise DomainError(f"a method is listed twice in {list(methods)}")
 
 
 def _rep_seed(cfg_seed: int, rep: int, n_ctx: int = 0) -> int:
@@ -325,27 +328,29 @@ class _Tally:
         }
 
 
-def _replicate(methods, ctxs, evaluate) -> dict[str, _Tally]:
-    """Run every method on every drawn replication.
+def _replicate(methods, ctxs, staged, evaluate, fell_back=frozenset()) -> dict[str, _Tally]:
+    """Score every method on every replication from what was staged for it.
 
-    ``ctxs`` holds every replication's draw, made before any method runs,
-    so that work cheaper done for all replications at once can run between
-    the draws and the evaluations: :func:`_rows_at` fits the Bayes arm's
-    tails there, its chains in lockstep (:func:`fit_tails`).
-    ``evaluate(method, rep, ctx)`` returns ``(value, fell_back)``.  A
-    failure in ``_REP_FAILURES`` is counted by class; any other exception
-    is a bug and propagates.
+    ``staged[method][rep]`` is replication ``rep``'s fit (or law) for
+    ``method``, made for all replications at once before any is scored, or
+    the failure raised for it; ``evaluate(method, staged, ctxs[rep])``
+    returns the score and runs no fit.  ``(method, rep)`` in ``fell_back``
+    marks a fit that fell back from ML to PWM.  A failure in
+    ``_REP_FAILURES`` is counted by class; any other exception is a bug and
+    propagates.
     """
     tallies = {m: _Tally() for m in methods}
     for rep, ctx in enumerate(ctxs):
         for method, tally in tallies.items():
             try:
-                value, fell_back = evaluate(method, rep, ctx)
+                tail = staged[method][rep]
+                if isinstance(tail, Exception):
+                    raise tail
+                tally.values.append(evaluate(method, tail, ctx))
             except _REP_FAILURES as exc:
                 tally.reasons[type(exc).__name__] += 1
             else:
-                tally.values.append(value)
-                tally.fallbacks += fell_back
+                tally.fallbacks += (method, rep) in fell_back
     return tallies
 
 
@@ -372,32 +377,39 @@ def _draw(cfg: ExperimentConfig, n: int, k: int, rep: int, n_ctx: int) -> _Draw:
 
 
 def _rows_at(cfg: ExperimentConfig, n: int, n_ctx: int, evaluate, summarise):
-    """One row per method at sample size ``n``.
+    """One row per method at sample size ``n``, in three stages.
 
-    ``evaluate(method, draw, bayes_fit)`` scores one replication, where
-    ``bayes_fit`` is the replication's Bayes :class:`TailFit` or the failure
-    raised for it (None without a Bayes arm), and ``summarise(values)``
-    turns a method's scores into the row's statistics.  ``n_ctx`` enters the
-    replication seeds: the ladder experiments pass ``n`` even without a
-    ladder, the others 0.
+    Every replication is drawn and its exceedances selected once, a failure
+    kept in place.  Each estimated arm is one :func:`fit_tails` call, and
+    the ML fits that fail are refitted by PWM in one more (flagged
+    fallbacks, so aggregates stay defined).  Then ``evaluate(method, tail,
+    draw)`` scores a replication from its :class:`TailFit` (None for the
+    oracle), and ``summarise(values)`` turns a method's scores into the
+    row's statistics.  ``n_ctx`` enters the replication seeds: the ladder
+    experiments pass ``n`` even without a ladder, the others 0.
     """
     k = cfg.k_rule.k_for(n)
     draws = [_draw(cfg, n, k, rep, n_ctx) for rep in range(cfg.replications)]
-    bayes: list = [None] * len(draws)
-    if "bayes" in cfg.methods:
-        for rep, draw in enumerate(draws):
-            try:
-                bayes[rep] = draw.exceedances()
-            except _REP_FAILURES as exc:
-                bayes[rep] = exc
-        reps = [rep for rep, e in enumerate(bayes) if isinstance(e, ExceedanceSet)]
-        samplers = [replace(cfg.sampler, seed=_rep_seed(cfg.seed, rep, n_ctx)) for rep in reps]
-        fits = fit_tails([bayes[rep] for rep in reps], "bayes", [cfg.prior] * len(reps), samplers)
-        for rep, fit in zip(reps, fits):
-            bayes[rep] = fit
-    tallies = _replicate(
-        cfg.methods, draws, lambda method, rep, draw: evaluate(method, draw, bayes[rep])
-    )
+    arms = [m for m in cfg.methods if m != "oracle"]
+    es: list = []  # each replication's exceedances, or the failure
+    for draw in draws if arms else ():
+        try:
+            es.append(draw.exceedances())
+        except _REP_FAILURES as exc:
+            es.append(exc)
+    tails = {"oracle": [None] * len(draws)}
+    for m in arms:
+        if m == "bayes":
+            samplers = [replace(cfg.sampler, seed=_rep_seed(cfg.seed, rep, n_ctx))
+                        for rep in range(len(es))]
+            tails[m] = fit_tails(es, m, [cfg.prior] * len(es), samplers)
+        else:
+            tails[m] = fit_tails(es, m)
+    failed = [rep for rep, (e, tail) in enumerate(zip(es, tails.get("ml", ())))
+              if tail is not e and isinstance(tail, _FIT_FAILURES)]
+    for rep, tail in zip(failed, fit_tails([es[rep] for rep in failed], "pwm")):
+        tails["ml"][rep] = tail
+    tallies = _replicate(cfg.methods, draws, tails, evaluate, {("ml", rep) for rep in failed})
     return [
         {
             "n": n,
@@ -417,26 +429,6 @@ def _quantiles(values, *probs: float) -> list[float]:
     if not arr.size:
         return [math.nan] * len(probs)
     return [float(np.median(arr) if p == 0.5 else np.quantile(arr, p)) for p in probs]
-
-
-def _estimated_tail(method: str, draw: _Draw, bayes_fit):
-    """(tail fit, fallback flag) for the top ``k`` of one replication's
-    sample; callers read from it only the levels they use.
-
-    The Bayes arm's fit, or its failure, comes from :func:`_rows_at`.
-    ML falls back to PWM (flagged) so aggregates stay defined.
-    """
-    if method == "bayes":
-        if isinstance(bayes_fit, Exception):
-            raise bayes_fit
-        return bayes_fit, False
-    e = draw.exceedances()
-    try:
-        return fit_tail(e, method), False
-    except _FIT_FAILURES:
-        if method != "ml":
-            raise
-        return fit_tail(e, "pwm"), True
 
 
 def _extreme_model(cfg: ExperimentConfig, tail: TailFit):
@@ -487,21 +479,20 @@ def coverage_experiment(cfg: ExperimentConfig) -> CoverageResult:
         """The true ``p`` quantile of a peak above the ``tau_e`` quantile."""
         return float(fam.quantile(tau_e + p * (1.0 - tau_e)))
 
-    def evaluate(method: str, draw: _Draw, bayes_fit):
+    def evaluate(method: str, tail: TailFit | None, draw: _Draw):
         if method == "oracle":
-            tau_e, fell_back = oracle_levels.tau_e, False
+            tau_e = oracle_levels.tau_e
             interval = PredictiveInterval(
                 peak_quantile(tau_e, cfg.alpha / 2),
                 peak_quantile(tau_e, 1 - cfg.alpha / 2),
                 cfg.alpha,
             )
         else:
-            tail, fell_back = _estimated_tail(method, draw, bayes_fit)
             model_ext = _extreme_model(cfg, tail)
             tau_e = model_ext.levels.tau_e
             interval = predictive_interval(model_ext, cfg.alpha)
         covered = interval.contains(peak_quantile(tau_e, draw.u_test))
-        return (int(covered), interval.width), fell_back
+        return int(covered), interval.width
 
     def summarise(oks) -> dict:
         if not oks:
@@ -540,26 +531,24 @@ def contraction_experiment(cfg: ExperimentConfig) -> list[dict]:
     if not isinstance(fam, ExactGP):
         raise DomainError("contraction experiments need the exact-GP generator")
 
-    def evaluate(method: str, draw: _Draw, bayes_fit):
+    def evaluate(method: str, tail: TailFit | None, draw: _Draw):
         if method == "oracle":
             tau_i = 1.0 - draw.k / draw.n
             levels = cfg.level_rule.levels_for(tau_i, fam.true_gamma)
-            model, fell_back = _oracle_model(fam, tau_i, levels), False
+            model = _oracle_model(fam, tau_i, levels)
         else:
-            tail, fell_back = _estimated_tail(method, draw, bayes_fit)
             model = _extreme_model(cfg, tail)
         t_e_true = float(fam.quantile(model.levels.tau_e))
         excess_params = fam.conditional_excess_params(t_e_true)
         lower = min(model.support_lower(), t_e_true)
         upper = max(model.support_upper(), t_e_true + excess_params.upper)
-        distance = hellinger(
+        return hellinger(
             lambda y: gp_pdf(excess_params, y - t_e_true),
             model.pdf,
             Support(lower, upper),
             abs_tol=HELLINGER_ABS_TOL[method],
             breakpoints=(t_e_true, model.support_lower()),
         )
-        return distance, fell_back
 
     def summarise(values) -> dict:
         med, q10, q90 = _quantiles(values, 0.5, 0.1, 0.9)
@@ -583,16 +572,14 @@ def tail_equivalence_experiment(cfg: ExperimentConfig) -> list[dict]:
         raise DomainError("the oracle arm needs the exact-GP generator")
     tau_star = cfg.level_rule.value
 
-    def evaluate(method: str, draw: _Draw, bayes_fit):
+    def evaluate(method: str, tail: TailFit | None, draw: _Draw):
         if method == "oracle":
             tau_i = 1.0 - draw.k / draw.n
-            levels = LevelPair.intermediate(tau_i)
-            model, fell_back = _oracle_model(fam, tau_i, levels), False
+            model = _oracle_model(fam, tau_i, LevelPair.intermediate(tau_i))
         else:
-            tail, fell_back = _estimated_tail(method, draw, bayes_fit)
             model = tail.at(LevelPair.intermediate(tail.e.tau_i))
         q_true = float(fam.quantile(1.0 - tau_star * (1.0 - model.levels.tau_i)))
-        return tail_equivalence_ratio(model, q_true, tau_star), fell_back
+        return tail_equivalence_ratio(model, q_true, tau_star)
 
     def summarise(values) -> dict:
         med, lo, hi = _quantiles(values, 0.5, 0.05, 0.95)
@@ -648,8 +635,7 @@ def risk_error_experiment(cfg: ExperimentConfig) -> list[dict]:
             "infinite; risk-error needs a prior supported strictly below 1"
         )
 
-    def evaluate(method: str, draw: _Draw, bayes_fit):
-        tail, fell_back = _estimated_tail(method, draw, bayes_fit)
+    def evaluate(method: str, tail: TailFit, draw: _Draw):
         model_int = tail.at(LevelPair.intermediate(tail.e.tau_i))
         model_ext = _extreme_model(cfg, tail)
         tau_e = model_ext.levels.tau_e
@@ -657,11 +643,7 @@ def risk_error_experiment(cfg: ExperimentConfig) -> list[dict]:
         es_true = true_es(tau_e)
         var_hat = var_from_predictive(model_int, tau_star)
         es_hat = es_point_forecast(model_ext)
-        errors = (
-            abs(var_hat - var_true) / abs(var_true),
-            abs(es_hat - es_true) / abs(es_true),
-        )
-        return errors, fell_back
+        return abs(var_hat - var_true) / abs(var_true), abs(es_hat - es_true) / abs(es_true)
 
     def within_tol(errs) -> float:
         return float(np.mean(errs < cfg.rel_err_tol)) if errs.size else math.nan
@@ -711,6 +693,12 @@ class TsCoverageConfig:
     def __post_init__(self):
         _check_seed(self.seed, "ts-coverage")
         _check_methods(self.methods, ("ml", "pwm", "bayes"))
+        if not 0.0 < self.alpha < 1.0:
+            raise DomainError(f"alpha must lie in (0,1), got {self.alpha}")
+        if not 0.0 < self.tau_star <= 1.0:
+            raise DomainError(f"tau_star must lie in (0,1], got {self.tau_star}")
+        if self.origins < 1:
+            raise DomainError(f"origins must be positive, got {self.origins}")
 
 
 def ts_coverage_experiment(cfg: TsCoverageConfig) -> list[dict]:
@@ -744,10 +732,7 @@ def ts_coverage_experiment(cfg: TsCoverageConfig) -> list[dict]:
     samplers = [replace(cfg.sampler, seed=_rep_seed(cfg.seed, j, n_ctx=2)) for j in origins]
     _, laws = _origin_stage(filtered, origins, cfg.k, cfg.methods, cfg.prior, samplers)
 
-    def evaluate(method: str, j: int, seg):
-        law = laws[method][j]
-        if isinstance(law, Exception):
-            raise law
+    def evaluate(method: str, law, j: int):
         ext_levels = LevelPair.from_tau_star(law.levels.tau_i, cfg.tau_star)
         interval = predictive_interval(law.at(ext_levels), cfg.alpha)
         # regenerate the next step conditionally on a tail innovation
@@ -755,10 +740,10 @@ def ts_coverage_experiment(cfg: TsCoverageConfig) -> list[dict]:
         eps_star = float(
             cfg.innovations.quantile(tau_e_inn + u_test[j] * (1.0 - tau_e_inn))
         )
-        y_star = cfg.phi * seg[-1] + eps_star
-        return int(not interval.contains(y_star)), False
+        y_star = cfg.phi * windows[j][-1] + eps_star
+        return int(not interval.contains(y_star))
 
-    tallies = _replicate(cfg.methods, windows, evaluate)
+    tallies = _replicate(cfg.methods, origins, laws, evaluate)
     rows: list[dict] = []
     for method in cfg.methods:
         used, violations = len(tallies[method].values), sum(tallies[method].values)

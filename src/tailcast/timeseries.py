@@ -492,37 +492,33 @@ _ORIGIN_FAILURES = (TailcastError, ArithmeticError, np.linalg.LinAlgError)
 def _origin_stage(
     filtered, origins, k: int, methods, prior, samplers
 ) -> tuple[list, dict[str, list]]:
-    """``(staged, laws)``: ``staged[j]`` holds origin ``j``'s ``(mu_next,
-    xi_next, exceedances)`` and ``laws[method][j]`` its one-step-ahead law at
-    its intermediate level, or either the per-origin failure that stopped it.
+    """``(steps, laws)``: ``steps[j]`` holds origin ``j``'s ``(mu_next,
+    xi_next)`` (None if it failed) and ``laws[method][j]`` its one-step-ahead
+    law at its intermediate level, or the per-origin failure that stopped it.
     ``filtered(origin)`` filters the origin's window and runs the caller's
     checks; the top ``k`` residuals are then selected once for all methods,
-    one :func:`fit_tails` call per method fits them (origin ``j`` with
-    ``samplers[j]``), and each fit's law is mapped by its origin's
-    one-step-ahead location and scale (``affine``)."""
-    staged = []  # (mu_next, xi_next, exceedances), or the failure
+    one :func:`fit_tails` call per method fits them, failures in place
+    (origin ``j`` with ``samplers[j]``), and each fit's law is mapped by its
+    origin's one-step-ahead location and scale (``affine``)."""
+    staged, steps = [], []  # the exceedances or the failure; (mu_next, xi_next)
     for origin in origins:
         try:
             rs = filtered(origin)
-            e = select_exceedances(SortedSample.from_data(rs.residuals), k)
-            staged.append((rs.mu_next, rs.xi_next, e))
+            staged.append(select_exceedances(SortedSample.from_data(rs.residuals), k))
+            steps.append((rs.mu_next, rs.xi_next))
         except _ORIGIN_FAILURES as exc:
             staged.append(exc)
-    ok = [j for j, s in enumerate(staged) if isinstance(s, tuple)]
-    laws = {method: list(staged) for method in methods}
-    for method, out in laws.items():
-        fits = fit_tails([staged[j][2] for j in ok], method, [prior] * len(ok),
-                         [samplers[j] for j in ok])
-        for j, tail in zip(ok, fits):
-            out[j] = tail
+            steps.append(None)
+    laws = {}
+    for method in methods:
+        laws[method] = out = fit_tails(staged, method, [prior] * len(staged), samplers)
+        for j, tail in enumerate(out):
             if isinstance(tail, TailFit):
-                mu_next, xi_next, _ = staged[j]
                 try:
-                    law = tail.at(LevelPair.intermediate(tail.e.tau_i))
-                    out[j] = law.affine(mu_next, xi_next)
+                    out[j] = tail.at(LevelPair.intermediate(tail.e.tau_i)).affine(*steps[j])
                 except _ORIGIN_FAILURES as exc:
                     out[j] = exc
-    return staged, laws
+    return steps, laws
 
 
 def conditional_predictive(
@@ -590,6 +586,9 @@ def rolling_forecast(series, window: int, stride: int, cfg: RollingConfig) -> li
         raise DomainError(f"window {window} exceeds the series length {n}")
     if stride < 1:
         raise DomainError(f"stride must be positive, got {stride}")
+    for name, level in (("alpha", cfg.alpha), ("tau_e", cfg.tau_e)):
+        if not 0.0 < level < 1.0:
+            raise DomainError(f"{name} must lie in (0,1), got {level}")
 
     def filtered(origin: int) -> ResidualSeries:
         j_target = origin + window
@@ -619,15 +618,15 @@ def rolling_forecast(series, window: int, stride: int, cfg: RollingConfig) -> li
     origins = range(0, n - window + 1, stride)
     sampler = cfg.sampler or SamplerConfig()
     samplers = [replace(sampler, seed=_origin_seed(cfg.seed, origin)) for origin in origins]
-    staged, laws = _origin_stage(filtered, origins, cfg.k, [cfg.method], cfg.prior, samplers)
+    steps, laws = _origin_stage(filtered, origins, cfg.k, [cfg.method], cfg.prior, samplers)
     rows: list[dict] = []
-    for origin, stage, law in zip(origins, staged, laws[cfg.method]):
+    for origin, step, law in zip(origins, steps, laws[cfg.method]):
         j_target = origin + window
         row: dict = {"origin": origin, "target": j_target}
         try:
             if isinstance(law, Exception):
                 raise law
-            mu_next, xi_next, _ = stage
+            mu_next, xi_next = step
             tau_star = (1.0 - cfg.tau_e) / (1.0 - law.levels.tau_i)
             model_ext = law.at(LevelPair.from_tau_star(law.levels.tau_i, tau_star))
             point = var_from_predictive(law, tau_star)

@@ -26,6 +26,7 @@ from tailcast.bayes import (
 )
 from tailcast.errors import (
     BoundaryWarning,
+    DegenerateDataError,
     DomainError,
     EstimationError,
     PriorError,
@@ -685,6 +686,29 @@ class TestFitTails:
         assert fit_tails([], "bayes") == []
         got = fit_tails(es, "pwm")
         assert [repr(t.fit) for t in got] == [repr(fit_tail(e, "pwm").fit) for e in es]
+
+    @pytest.mark.parametrize("method", ["ml", "bayes"])
+    def test_an_exception_in_a_sets_place_comes_back_as_is(self, monkeypatch, method):
+        # the five k = 120 sets run in one lockstep group with or without the
+        # failures among them, which need neither a prior nor a sampler
+        es = self.sets()[:6]
+        priors = [flat_prior()] * 6
+        samplers = [SamplerConfig(seed=j, burn_in=300, draws=700) for j in range(6)]
+        groups = _spy_on_lockstep(monkeypatch)
+        want = fit_tails(es, method, priors, samplers)
+        ties, other = DegenerateDataError("all top values tie"), KeyError("any exception")
+        got = fit_tails([ties, *es[:3], other, *es[3:]], method,
+                        [None, *priors[:3], None, *priors[3:]],
+                        [None, *samplers[:3], None, *samplers[3:]])
+        assert got[0] is ties and got[4] is other
+        assert groups == ([5, 5] if method == "bayes" else [])
+        for a, b in zip(got[1:4] + got[5:], want, strict=True):
+            assert a.e is b.e and repr(a.fit) == repr(b.fit)
+            if method == "bayes":
+                assert np.array_equal(a.posterior.gammas, b.posterior.gammas)
+                assert np.array_equal(a.posterior.sigmas, b.posterior.sigmas)
+                assert (a.posterior.acceptance_rate, a.posterior.ess) == (
+                    b.posterior.acceptance_rate, b.posterior.ess)
 
 
 class TestPosteriorSummary:

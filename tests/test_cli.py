@@ -517,6 +517,18 @@ class TestConfig:
         ("simulate", {**TS, "rel_err_tol": 0.2}, "a ts-coverage run does not read rel_err_tol"),
         ("simulate", {**TS, "n": 1_000, "alpha": 0.1},
          "a ts-coverage run does not read alpha, n"),
+        # a repeated arm would run twice, a Bayes arm's chains included
+        ("simulate", {**SIM, "methods": ["bayes", "ml", "bayes"]}, "a method is listed twice"),
+        ("simulate", {**TS, "methods": ["ml", "ml"]}, "a method is listed twice"),
+        # levels that no window can meet are refused before any fit
+        ("simulate", {**TS, "ts": {"window": 400, "origins": 20, "alpha": 1.5}},
+         "alpha must lie in (0,1), got 1.5"),
+        ("simulate", {**TS, "ts": {"window": 400, "origins": 20, "tau_star": 0}},
+         "tau_star must lie in (0,1], got 0"),
+        ("simulate", {**TS, "ts": {"window": 400, "origins": 0}}, "origins must be positive"),
+        ("ts-alpha", {}, "alpha must lie in (0,1), got 1.5"),
+        ("ts-tau-e", {}, "tau_e must lie in (0,1), got 1.0"),
+        ("risk-table-alpha", {}, "alpha must lie in (0,1), got 1.5"),
     ])
     def test_malformed_config_exits_3(self, exp_csv, series_csv, tmp_path, capsys,
                                       command, cfg, message):
@@ -532,6 +544,12 @@ class TestConfig:
             "fit-ml": ["fit", "--input", exp_csv, "--k", "200"],
             "ts-ml": ["ts", "--input", series_csv, "--k", "100", "--window", "1000",
                       "--stride", "1000"],
+            "ts-alpha": ["ts", "--input", series_csv, "--k", "100", "--window", "1000",
+                         "--stride", "1000", "--alpha", "1.5"],
+            "ts-tau-e": ["ts", "--input", series_csv, "--k", "100", "--window", "1000",
+                         "--stride", "1000", "--tau-e", "1.0"],
+            "risk-table-alpha": ["risk", "--input", exp_csv, "--k", "200",
+                                 "--return-periods", "20:40:10", "--alpha", "1.5"],
         }[command]
         assert main([*argv, "--config", str(path), "--out", str(tmp_path / "out")]) == 3
         err = capsys.readouterr().err

@@ -312,6 +312,21 @@ class TestMixtureQuantile:
         with pytest.raises(NumericError):
             model.quantile(0.5)
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "the mixture quantile's tolerances are absolute: brentq's xtol=1e-10 and the "
+        "hi - lo < 1e-12 shortcut act in the data's units"))
+    def test_interval_ends_scale_with_the_data(self):
+        """A law mapped by ``affine(0, 1e-8)`` should have its interval ends
+        1e-8 times the unmapped ends.  Its root search stops within 1e-10 of
+        the root, about 1% of this law's spread, and its shortcut takes
+        draws 1e-12 apart as equal, so the ends come back about 1e-4 off."""
+        z = np.random.default_rng(5).standard_normal(2_000)
+        law = bayes_predictive(posterior_of(0.2 + 0.05 * z, np.exp(0.1 * z)), 0.0,
+                               LevelPair.from_tau_star(0.9, 0.25))
+        band, small = predictive_interval(law, 0.05), predictive_interval(law.affine(0.0, 1e-8), 0.05)
+        assert small.lower == pytest.approx(1e-8 * band.lower, rel=1e-9)
+        assert small.upper == pytest.approx(1e-8 * band.upper, rel=1e-9)
+
 
 @st.composite
 def one_draw_laws(draw):

@@ -228,6 +228,14 @@ class TestReturnLevelCurve:
         assert rows[0]["error"] != ""  # T=3 leaves no intermediate level
         assert rows[1]["error"] == ""
 
+    @pytest.mark.parametrize("alpha", [1.5, 0.0])
+    def test_bad_alpha_refused_before_any_fit(self, alpha):
+        def factory(k, levels):
+            raise AssertionError("a period was fitted")
+
+        with pytest.raises(DomainError, match="alpha must lie in"):
+            return_level_curve(factory, 1_000, [100], alpha)
+
     def test_programming_errors_propagate(self):
         def broken(k, levels):
             raise TypeError("bug in the model factory")

@@ -19,6 +19,7 @@ from tailcast.bayes import (
     sample_posterior,
 )
 from tailcast.errors import (
+    DegenerateDataError,
     DomainError,
     EstimationError,
     InfiniteMeanError,
@@ -259,8 +260,9 @@ class TestReplicationDriver:
 
     @staticmethod
     def failing_fit_tail(monkeypatch, fails):
-        """Make ``fit_tail`` raise ``fails(call, method)`` when it is not None."""
-        real = simlab.fit_tail
+        """Make ``fit_tail`` raise ``fails(call, method)`` when it is not None;
+        simlab fits only through ``predict.fit_tails``, which calls it."""
+        real = predict.fit_tail
         calls = {"n": 0}
 
         def fit_tail(e, method, *args, **kwargs):
@@ -270,7 +272,7 @@ class TestReplicationDriver:
                 raise exc
             return real(e, method, *args, **kwargs)
 
-        monkeypatch.setattr(simlab, "fit_tail", fit_tail)
+        monkeypatch.setattr(predict, "fit_tail", fit_tail)
 
     def test_failures_counted_by_class(self, monkeypatch):
         def fails(call, method):
@@ -292,9 +294,9 @@ class TestReplicationDriver:
         assert (row["failures"], row["failure_reasons"]) == (16, pwm.failure_reasons)
 
     def test_ml_failure_falls_back_to_pwm(self, monkeypatch):
-        # each ML call is odd-numbered and fails; its PWM fallback is the next
+        # every ML fit fails; all of them run before the PWM fallbacks
         def fails(call, method):
-            if method == "ml" and call % 2:
+            if method == "ml":
                 return EstimationError("no convergence")
             return None
 
@@ -478,9 +480,10 @@ class TestTopOnlyDraw:
         for row in rows:
             assert row["failure_reasons"] == "DegenerateDataError:50"
 
-    def test_ties_warn_once_per_method_from_the_fit(self, monkeypatch):
+    def test_ties_warn_once_per_replication_from_the_stage(self, monkeypatch):
         cfg = small_cfg(generator=Generator(TIED), n=1_000, k_rule=KRule("fixed", k=63),
-                        methods=("ml", "pwm"), replications=50)
+                        methods=("ml", "pwm", "bayes"), replications=50,
+                        sampler=SamplerConfig(burn_in=300, draws=1_000))
         counts = []
         for run in (tail_equivalence_experiment,
                     lambda c: self.whole_sample_rows(monkeypatch, tail_equivalence_experiment, c)):
@@ -489,11 +492,20 @@ class TestTopOnlyDraw:
                 run(cfg)
             ties = [w for w in caught if w.category is TieWarning]
             counts.append(len(ties))
-            if run is tail_equivalence_experiment:  # named at the fit, as before
-                lines, first = inspect.getsourcelines(simlab._estimated_tail)
+            if run is tail_equivalence_experiment:  # named where the stage selects
+                lines, first = inspect.getsourcelines(simlab._rows_at)
                 assert {w.filename for w in ties} == {simlab.__file__}
                 assert {w.lineno for w in ties} <= set(range(first, first + len(lines)))
-        assert counts[0] == counts[1] > 0 and counts[0] % 2 == 0
+        # once per tied replication, for all three arms
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            tied = 0
+            for rep in range(cfg.replications):
+                try:
+                    tied += simlab._draw(cfg, cfg.n, 63, rep, cfg.n).exceedances().n_dropped > 0
+                except DegenerateDataError:  # every excess ties: it raises and does not warn
+                    pass
+        assert counts[0] == counts[1] == tied > 0
 
 
 class TestBayesStage:

@@ -59,6 +59,15 @@ def test_one_staged_entry_for_many_tails():
     assert users == ["predict.py"]
 
 
+def test_simlab_fits_through_the_stage():
+    """Only the CLI and ``predict`` itself name ``fit_tail`` (``__init__``
+    exports it): simlab fits every arm through ``predict.fit_tails``."""
+    users = sorted(
+        p.name for p in ROOT.glob("src/tailcast/*.py") if "fit_tail" in _names(p)
+    )
+    assert users == ["__init__.py", "cli.py", "predict.py"]
+
+
 def test_one_predictive_law():
     """Every predictive law is a ``predict.MixturePredictive``: outside
     predict.py no class defines ``cdf`` or ``pdf``, and the only classes

@@ -550,6 +550,17 @@ class TestRollingForecast:
         b = rolling_forecast(y, 1_000, 500, cfg)
         assert a == b
 
+    @pytest.mark.parametrize("levels", [dict(alpha=1.5), dict(alpha=0.0), dict(tau_e=1.0),
+                                        dict(tau_e=-0.5)])
+    def test_bad_levels_refused_before_any_fit(self, monkeypatch, levels):
+        def fit_ar(*args, **kwargs):
+            raise AssertionError("a window was filtered")
+
+        monkeypatch.setattr(ts, "fit_ar", fit_ar)
+        name = next(iter(levels))
+        with pytest.raises(DomainError, match=f"{name} must lie in"):
+            rolling_forecast(np.zeros(2_000), 1_000, 1_000, RollingConfig(k=100, **levels))
+
     def test_per_origin_errors_recorded(self):
         y, _ = simulate_ar1(0.6, 2_500, seed=16, innovations="pareto2")
         y[1_200:1_500] = 7.0  # a constant stretch breaks one window's filter
