@@ -65,6 +65,7 @@ from .risk import (
     RiskReport,
     es_first_order,
     es_point_forecast,
+    extreme_forecast,
     extreme_var,
     return_level_curve,
     shortfall_report,

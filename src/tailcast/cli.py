@@ -238,26 +238,27 @@ def _interval(iv) -> dict:
     return {"lower": iv.lower, "upper": iv.upper, "alpha": iv.alpha}
 
 
-def _tail_fitter(args, cfg: dict):
-    """``fit(sample, k)``, the tail fit of the top ``k`` order statistics.
-    A Bayes fit reads the config's sampler and prior here, once."""
+def _bayes_setup(args, cfg: dict):
+    """``(prior, sampler)`` of a Bayes fit, read from the config once: the
+    prior as a function of the scale anchor.  ``(None, None)`` for a point fit."""
     if args.method != "bayes":
-        return lambda sample, k: fit_tail(select_exceedances(sample, k), args.method)
+        return None, None
     sampler = SamplerConfig(**{"seed": args.seed, **_sampler_keys(cfg.get("sampler"))})
-    prior = _prior(cfg.get("prior"))
+    return _prior(cfg.get("prior")), sampler
 
-    def fit(sample: SortedSample, k: int) -> TailFit:
-        e = select_exceedances(sample, k)
-        return fit_tail(e, "bayes", prior(pwm_scale(e)), sampler)
 
-    return fit
+def _fit(args, cfg: dict, sample: SortedSample, k: int) -> TailFit:
+    """The tail fit of the top ``k`` order statistics."""
+    prior, sampler = _bayes_setup(args, cfg)
+    e = select_exceedances(sample, k)
+    return fit_tail(e, args.method, prior and prior(pwm_scale(e)), sampler)
 
 
 def cmd_fit(args) -> int:
     cfg = _load_config(args.config, _COMMAND)
     data = tio.read_numeric_csv(args.input)
     sample = SortedSample.from_data(data)
-    tail = _tail_fitter(args, cfg)(sample, args.k)
+    tail = _fit(args, cfg, sample, args.k)
     e, fit, ps = tail.e, tail.fit, tail.posterior
     report = {
         "command": "fit",
@@ -326,7 +327,7 @@ def cmd_predict(args) -> int:
         # the return-period rule dictates its own effective sample size
         rule = extreme_level_from_return_period(args.return_period, sample.n)
         k = rule.k
-    tail = _tail_fitter(args, cfg)(sample, k)
+    tail = _fit(args, cfg, sample, k)
     e = tail.e
     levels = _levels_for_args(args, e, tail.gamma, rule)
     model = tail.at(levels)
@@ -375,17 +376,15 @@ def _risk_return_level_table(args, sample: SortedSample, cfg: dict) -> int:
     parts = args.return_periods.split(":")
     if len(parts) not in (2, 3):
         raise DomainError("--return-periods expects START:STOP[:STEP]")
-    start, stop = int(parts[0]), int(parts[1])
-    step = int(parts[2]) if len(parts) == 3 else max(1, (stop - start) // 50)
+    try:
+        start, stop, *step = map(int, parts)
+    except ValueError:
+        raise DomainError(f"bad return-period range {args.return_periods!r}") from None
+    step = step[0] if step else max(1, (stop - start) // 50)
     if start < 2 or stop <= start or step < 1:
         raise DomainError(f"bad return-period range {args.return_periods!r}")
-
-    fit = _tail_fitter(args, cfg)
-
-    def factory(k, levels):
-        return fit(sample, k).at(levels)
-
-    rows = return_level_curve(factory, sample.n, range(start, stop + 1, step), args.alpha)
+    periods = range(start, stop + 1, step)
+    rows = return_level_curve(sample, periods, args.alpha, args.method, *_bayes_setup(args, cfg))
     cols = ["T", "tau_e", "k", "point", "lower", "upper", "error"]
     _write_out(args, tio.rows_to_csv_text(rows, cols))
     return 0
@@ -399,7 +398,7 @@ def cmd_risk(args) -> int:
         return _risk_return_level_table(args, sample, cfg)
     if args.tau_e is None:
         raise DomainError("risk needs --tau-e (or --return-periods for a table)")
-    tail = _tail_fitter(args, cfg)(sample, args.k)
+    tail = _fit(args, cfg, sample, args.k)
     e = tail.e
     if args.tau_e < e.tau_i:
         raise DomainError(

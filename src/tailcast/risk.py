@@ -3,7 +3,8 @@
 Extreme Value-at-Risk comes from the standard extrapolation formula
 (threshold plus a power-rescaled tail step); the same number falls out of
 the intermediate predictive law's quantile at ``1 - tau_star``, which is
-the route used for Bayesian point forecasts.  Expected shortfall is either
+the route every forecast takes: :func:`extreme_forecast` gives the VaR
+point, the extreme-level law and its interval.  Expected shortfall is either
 the first-order tail approximation or the predictive mean.
 """
 
@@ -15,13 +16,14 @@ from dataclasses import dataclass
 from numpy.linalg import LinAlgError
 
 from .errors import DomainError, InfiniteMeanError, TailcastError
-from .estimation import ExceedanceSet, GpFit
+from .estimation import ExceedanceSet, GpFit, SortedSample, pwm_scale, select_exceedances
 from .gpd import LevelPair, shift_scale
 from .predict import (
     BayesianPredictive,
     MixturePredictive,
     PredictiveInterval,
     extreme_level_from_return_period,
+    fit_tails,
     predictive_interval,
 )
 
@@ -29,11 +31,16 @@ __all__ = [
     "RiskReport",
     "extreme_var",
     "var_from_predictive",
+    "extreme_forecast",
     "es_first_order",
     "es_point_forecast",
     "return_level_curve",
     "shortfall_report",
 ]
+
+# failures that fail one row of a table (a return period, a rolling origin)
+# and not the table; anything else is a bug
+ROW_FAILURES = (TailcastError, ArithmeticError, LinAlgError)
 
 
 @dataclass(frozen=True)
@@ -110,45 +117,57 @@ def es_point_forecast(m: MixturePredictive, levels: LevelPair | None = None) -> 
     return m.mean()
 
 
+def extreme_forecast(m: MixturePredictive, tau_star: float, alpha: float | None = None):
+    """``(point, law, interval)`` at tail ratio ``tau_star`` from the
+    intermediate law ``m``: the VaR point (:func:`var_from_predictive`), the
+    law at the extreme level and, given ``alpha``, its ``1 - alpha`` interval."""
+    point = var_from_predictive(m, tau_star)
+    law = m.at(LevelPair.from_tau_star(m.levels.tau_i, tau_star))
+    return point, law, None if alpha is None else predictive_interval(law, alpha)
+
+
 def return_level_curve(
-    model_factory,
-    n: int,
-    T_range,
-    alpha: float = 0.05,
+    sample: SortedSample, T_range, alpha: float = 0.05, method: str = "ml", prior=None,
+    sampler=None,
 ) -> list[dict]:
     """Point forecasts and intervals across return periods.
 
-    ``model_factory(k, levels)`` must build an intermediate-level predictive
-    model (tail ratio 1) from the top ``k`` order statistics; the fixed
-    ratio-1/4 rule supplies ``k`` and the levels for each ``T``.  Rows keep
-    per-period package, arithmetic and linear-algebra failures as error
-    strings so one bad period does not kill the curve; any other exception
-    is a bug and propagates.
+    The fixed ratio-1/4 rule supplies each period's ``k`` and levels; the
+    top ``k`` order statistics of ``sample`` are selected once, and one
+    :func:`fit_tails` call fits every period by ``method`` (a Bayes fit with
+    ``sampler``, under ``prior(anchor)`` at the PWM scale anchor, or the
+    default prior).  Rows keep per-period failures (``ROW_FAILURES``) as
+    error strings so one bad period does not kill the curve; any other
+    exception is a bug and propagates.
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0,1), got {alpha}")
-    rows: list[dict] = []
-    for T in T_range:
-        row: dict = {"T": int(T)}
+    periods, staged, priors = [], [], []  # (T, rule); the exceedances or the failure
+    for T in map(int, T_range):
+        rule = spec = None
         try:
-            rule = extreme_level_from_return_period(int(T), n)
-            m = model_factory(rule.k, LevelPair.intermediate(rule.levels.tau_i))
-            point = var_from_predictive(m, rule.levels.tau_star)
-            interval = predictive_interval(m.at(rule.levels), alpha)
-            row.update(
-                tau_e=rule.levels.tau_e,
-                k=rule.k,
-                point=point,
-                lower=interval.lower,
-                upper=interval.upper,
-                error="",
+            rule = extreme_level_from_return_period(T, sample.n)
+            e = select_exceedances(sample, rule.k)
+            spec = prior(pwm_scale(e)) if prior and method == "bayes" else None
+        except ROW_FAILURES as exc:
+            e = exc
+        periods.append((T, rule))
+        staged.append(e)
+        priors.append(spec)
+    rows: list[dict] = []
+    tails = fit_tails(staged, method, priors, [sampler] * len(staged))
+    for (T, rule), tail in zip(periods, tails):
+        try:
+            if isinstance(tail, Exception):
+                raise tail
+            point, _, interval = extreme_forecast(
+                tail.at(LevelPair.intermediate(tail.e.tau_i)), rule.levels.tau_star, alpha
             )
-        except (TailcastError, ArithmeticError, LinAlgError) as exc:
-            row.update(
-                tau_e=math.nan, k=0, point=math.nan,
-                lower=math.nan, upper=math.nan, error=str(exc),
-            )
-        rows.append(row)
+            rows.append({"T": T, "tau_e": rule.levels.tau_e, "k": rule.k, "point": point,
+                         "lower": interval.lower, "upper": interval.upper, "error": ""})
+        except ROW_FAILURES as exc:
+            rows.append({"T": T, "tau_e": math.nan, "k": 0, "point": math.nan,
+                         "lower": math.nan, "upper": math.nan, "error": str(exc)})
     return rows
 
 
@@ -160,23 +179,10 @@ def shortfall_report(
 ) -> RiskReport:
     """Bundle VaR and (when finite) ES point forecasts into a report."""
     tau_star = (1.0 - tau_e) / (1.0 - m.levels.tau_i)
-    var_point = var_from_predictive(m, tau_star)
-    es_point = None
-    es_reason = None
-    ext_levels = LevelPair.from_tau_star(m.levels.tau_i, tau_star)
-    extreme_model = m.at(ext_levels)
+    var_point, extreme_model, interval = extreme_forecast(m, tau_star, interval_alpha)
+    es_point = es_reason = None
     try:
         es_point = es_point_forecast(extreme_model)
     except InfiniteMeanError as exc:
         es_reason = str(exc)
-    interval = None
-    if interval_alpha is not None:
-        interval = predictive_interval(extreme_model, interval_alpha)
-    return RiskReport(
-        tau_e=tau_e,
-        var_point=var_point,
-        method=method,
-        es_point=es_point,
-        es_reason=es_reason,
-        interval=interval,
-    )
+    return RiskReport(tau_e, var_point, method, es_point, es_reason, interval)

@@ -56,7 +56,7 @@ from .predict import (
     predictive_interval,
     tail_equivalence_ratio,
 )
-from .risk import es_point_forecast, var_from_predictive
+from .risk import es_point_forecast, extreme_forecast
 from .timeseries import _origin_stage, fit_ar, residual_pipeline
 
 __all__ = [
@@ -636,12 +636,11 @@ def risk_error_experiment(cfg: ExperimentConfig) -> list[dict]:
         )
 
     def evaluate(method: str, tail: TailFit, draw: _Draw):
-        model_int = tail.at(LevelPair.intermediate(tail.e.tau_i))
-        model_ext = _extreme_model(cfg, tail)
+        law = tail.at(LevelPair.intermediate(tail.e.tau_i))
+        var_hat, model_ext, _ = extreme_forecast(law, tau_star)
         tau_e = model_ext.levels.tau_e
         var_true = float(fam.quantile(tau_e))
         es_true = true_es(tau_e)
-        var_hat = var_from_predictive(model_int, tau_star)
         es_hat = es_point_forecast(model_ext)
         return abs(var_hat - var_true) / abs(var_true), abs(es_hat - es_true) / abs(es_true)
 
@@ -699,6 +698,8 @@ class TsCoverageConfig:
             raise DomainError(f"tau_star must lie in (0,1], got {self.tau_star}")
         if self.origins < 1:
             raise DomainError(f"origins must be positive, got {self.origins}")
+        if not 1 <= self.k < self.window - 1:  # an AR(1) window keeps window - 1 residuals
+            raise DomainError(f"k must satisfy 1 <= k < {self.window - 1}, got {self.k}")
 
 
 def ts_coverage_experiment(cfg: TsCoverageConfig) -> list[dict]:

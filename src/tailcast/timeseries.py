@@ -18,17 +18,11 @@ from operator import itemgetter
 import numpy as np
 
 from .bayes import PriorSpec, SamplerConfig
-from .errors import (
-    BoundaryWarning,
-    DegenerateDataError,
-    DomainError,
-    EstimationError,
-    TailcastError,
-)
+from .errors import BoundaryWarning, DegenerateDataError, DomainError, EstimationError
 from .estimation import SortedSample, select_exceedances
 from .gpd import LevelPair
-from .predict import MixturePredictive, TailFit, fit_tails, predictive_interval
-from .risk import var_from_predictive
+from .predict import MixturePredictive, TailFit, fit_tails
+from .risk import ROW_FAILURES, extreme_forecast
 
 __all__ = [
     "ArModel",
@@ -485,10 +479,6 @@ def residuals_from_filter(series, mu, xi, mu_next: float, xi_next: float) -> Res
     )
 
 
-# per-origin failures that fail the origin and not the run; anything else is a bug
-_ORIGIN_FAILURES = (TailcastError, ArithmeticError, np.linalg.LinAlgError)
-
-
 def _origin_stage(
     filtered, origins, k: int, methods, prior, samplers
 ) -> tuple[list, dict[str, list]]:
@@ -506,7 +496,7 @@ def _origin_stage(
             rs = filtered(origin)
             staged.append(select_exceedances(SortedSample.from_data(rs.residuals), k))
             steps.append((rs.mu_next, rs.xi_next))
-        except _ORIGIN_FAILURES as exc:
+        except ROW_FAILURES as exc:
             staged.append(exc)
             steps.append(None)
     laws = {}
@@ -516,7 +506,7 @@ def _origin_stage(
             if isinstance(tail, TailFit):
                 try:
                     out[j] = tail.at(LevelPair.intermediate(tail.e.tau_i)).affine(*steps[j])
-                except _ORIGIN_FAILURES as exc:
+                except ROW_FAILURES as exc:
                     out[j] = exc
     return steps, laws
 
@@ -589,6 +579,9 @@ def rolling_forecast(series, window: int, stride: int, cfg: RollingConfig) -> li
     for name, level in (("alpha", cfg.alpha), ("tau_e", cfg.tau_e)):
         if not 0.0 < level < 1.0:
             raise DomainError(f"{name} must lie in (0,1), got {level}")
+    kept = {"ar": window - cfg.ar_order, "garch11": window - _GARCH_WARMUP}.get(cfg.filter, window)
+    if not 1 <= cfg.k < kept:  # the residuals a window keeps
+        raise DomainError(f"k must satisfy 1 <= k < {kept}, got {cfg.k}")
 
     def filtered(origin: int) -> ResidualSeries:
         j_target = origin + window
@@ -628,9 +621,7 @@ def rolling_forecast(series, window: int, stride: int, cfg: RollingConfig) -> li
                 raise law
             mu_next, xi_next = step
             tau_star = (1.0 - cfg.tau_e) / (1.0 - law.levels.tau_i)
-            model_ext = law.at(LevelPair.from_tau_star(law.levels.tau_i, tau_star))
-            point = var_from_predictive(law, tau_star)
-            interval = predictive_interval(model_ext, cfg.alpha)
+            point, _, interval = extreme_forecast(law, tau_star, cfg.alpha)
             realized = float(y_all[j_target]) if j_target < n else math.nan
             row.update(
                 mu_next=mu_next,
@@ -642,7 +633,7 @@ def rolling_forecast(series, window: int, stride: int, cfg: RollingConfig) -> li
                 realized=realized,
                 error="",
             )
-        except _ORIGIN_FAILURES as exc:
+        except ROW_FAILURES as exc:
             row.update(
                 mu_next=math.nan, xi_next=math.nan, threshold_obs=math.nan,
                 point=math.nan, lower=math.nan, upper=math.nan,

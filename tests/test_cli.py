@@ -279,6 +279,16 @@ class TestRisk:
         assert doc["es_point"] is None
         assert doc["es_reason"]
 
+    @pytest.mark.parametrize("periods", ["a:b", "10:20:x", "1.5:20", "10:5", "10"])
+    def test_bad_return_periods_exit_3(self, exp_csv, tmp_path, capsys, periods):
+        out = tmp_path / "table.csv"
+        code = main(["risk", "--input", exp_csv, "--k", "200", "--return-periods", periods,
+                     "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
     def test_no_partial_output_on_failure(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("1.0\nnope\n")
@@ -529,6 +539,12 @@ class TestConfig:
         ("ts-alpha", {}, "alpha must lie in (0,1), got 1.5"),
         ("ts-tau-e", {}, "tau_e must lie in (0,1), got 1.0"),
         ("risk-table-alpha", {}, "alpha must lie in (0,1), got 1.5"),
+        # a k that no window can hold is refused before any fit
+        ("simulate", {**TS, "ts": {"window": 50, "origins": 20, "k": 60}},
+         "k must satisfy 1 <= k < 49, got 60"),
+        ("simulate", {**TS, "ts": {"window": 400, "origins": 20, "k": 0}},
+         "k must satisfy 1 <= k < 399, got 0"),
+        ("ts-k", {}, "k must satisfy 1 <= k < 499, got 600"),
     ])
     def test_malformed_config_exits_3(self, exp_csv, series_csv, tmp_path, capsys,
                                       command, cfg, message):
@@ -550,6 +566,8 @@ class TestConfig:
                          "--stride", "1000", "--tau-e", "1.0"],
             "risk-table-alpha": ["risk", "--input", exp_csv, "--k", "200",
                                  "--return-periods", "20:40:10", "--alpha", "1.5"],
+            "ts-k": ["ts", "--input", series_csv, "--k", "600", "--window", "500",
+                     "--stride", "500"],
         }[command]
         assert main([*argv, "--config", str(path), "--out", str(tmp_path / "out")]) == 3
         err = capsys.readouterr().err

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,18 +6,26 @@ import pytest
 from scipy.integrate import quad
 
 from conftest import make_excesses
-from tailcast.bayes import PosteriorSample
-from tailcast.errors import DomainError, InfiniteMeanError
+from tailcast import predict
+from tailcast.bayes import (
+    PosteriorSample,
+    PriorSpec,
+    SamplerConfig,
+    UniformWindowShape,
+    default_prior,
+)
+from tailcast.errors import DomainError, InfiniteMeanError, TailcastError
 from tailcast.estimation import (
     GpFit,
     SortedSample,
     exceedances_from_excesses,
     fit_ml,
     fit_pwm,
+    pwm_scale,
     select_exceedances,
 )
 from tailcast.gpd import GpParams, LevelPair
-from tailcast.predict import bayes_predictive, freq_predictive
+from tailcast.predict import bayes_predictive, freq_predictive, predictive_interval
 from tailcast.risk import (
     es_first_order,
     es_point_forecast,
@@ -191,18 +200,12 @@ class TestEquivariance:
 
 class TestReturnLevelCurve:
     @staticmethod
-    def factory(sample):
-        def build(k, levels):
-            e = select_exceedances(sample, k)
-            fit = fit_ml(e)
-            return freq_predictive(fit, LevelPair.intermediate(e.tau_i))
-
-        return build
+    def exp_sample(seed: int, n: int) -> SortedSample:
+        return SortedSample.from_data(-np.log(1.0 - np.random.default_rng(seed).random(n)))
 
     def test_monotone_and_consistent(self):
-        rng = np.random.default_rng(31)
-        sample = SortedSample.from_data(-np.log(1.0 - rng.random(20_000)))
-        rows = return_level_curve(self.factory(sample), 20_000, range(40, 400, 40))
+        sample = self.exp_sample(31, 20_000)
+        rows = return_level_curve(sample, range(40, 400, 40))
         assert all(row["error"] == "" for row in rows)
         points = [row["point"] for row in rows]
         assert all(b >= a - 1e-9 for a, b in zip(points, points[1:]))
@@ -210,9 +213,8 @@ class TestReturnLevelCurve:
     def test_first_row_reproduces_single_call(self):
         from tailcast.predict import extreme_level_from_return_period
 
-        rng = np.random.default_rng(32)
-        sample = SortedSample.from_data(-np.log(1.0 - rng.random(20_000)))
-        rows = return_level_curve(self.factory(sample), 20_000, [100])
+        sample = self.exp_sample(32, 20_000)
+        rows = return_level_curve(sample, [100])
         rule = extreme_level_from_return_period(100, 20_000)
         e = select_exceedances(sample, rule.k)
         fit = fit_ml(e)
@@ -222,26 +224,67 @@ class TestReturnLevelCurve:
         )
 
     def test_per_row_failures_recorded(self):
-        rng = np.random.default_rng(33)
-        sample = SortedSample.from_data(-np.log(1.0 - rng.random(1_000)))
-        rows = return_level_curve(self.factory(sample), 1_000, [3, 100])
+        rows = return_level_curve(self.exp_sample(33, 1_000), [3, 100])
         assert rows[0]["error"] != ""  # T=3 leaves no intermediate level
         assert rows[1]["error"] == ""
 
     @pytest.mark.parametrize("alpha", [1.5, 0.0])
-    def test_bad_alpha_refused_before_any_fit(self, alpha):
-        def factory(k, levels):
+    def test_bad_alpha_refused_before_any_fit(self, alpha, monkeypatch):
+        def fit_tail(*args, **kwargs):
             raise AssertionError("a period was fitted")
 
+        monkeypatch.setattr(predict, "fit_tail", fit_tail)
         with pytest.raises(DomainError, match="alpha must lie in"):
-            return_level_curve(factory, 1_000, [100], alpha)
+            return_level_curve(self.exp_sample(34, 1_000), [100], alpha)
 
-    def test_programming_errors_propagate(self):
-        def broken(k, levels):
-            raise TypeError("bug in the model factory")
+    def test_programming_errors_propagate(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("bug in the tail fit")
 
+        monkeypatch.setattr(predict, "fit_tail", broken)
         with pytest.raises(TypeError):
-            return_level_curve(broken, 1_000, [100])
+            return_level_curve(self.exp_sample(34, 1_000), [100])
+
+    @staticmethod
+    def period_by_period(sample, periods, alpha, method, prior, sampler) -> list[dict]:
+        """The table as rows built one period at a time through ``fit_tail``."""
+        from tailcast.predict import extreme_level_from_return_period, fit_tail
+
+        rows = []
+        for T in periods:
+            row = {"T": T}
+            try:
+                rule = extreme_level_from_return_period(T, sample.n)
+                e = select_exceedances(sample, rule.k)
+                tail = fit_tail(e, method, prior and prior(pwm_scale(e)), sampler)
+                m = tail.at(LevelPair.intermediate(rule.levels.tau_i))
+                point = var_from_predictive(m, rule.levels.tau_star)
+                interval = predictive_interval(m.at(rule.levels), alpha)
+                row.update(tau_e=rule.levels.tau_e, k=rule.k, point=point,
+                           lower=interval.lower, upper=interval.upper, error="")
+            except (TailcastError, ArithmeticError, np.linalg.LinAlgError) as exc:
+                row.update(tau_e=math.nan, k=0, point=math.nan, lower=math.nan,
+                           upper=math.nan, error=str(exc))
+            rows.append(row)
+        return rows
+
+    @staticmethod
+    def window_prior(anchor: float) -> PriorSpec:
+        return PriorSpec(UniformWindowShape(-0.45, 0.95), default_prior(anchor).scale)
+
+    @pytest.mark.parametrize("method,prior", [("ml", None), ("bayes", None),
+                                              ("bayes", window_prior)])
+    def test_staged_table_equals_period_by_period(self, method, prior):
+        # T = 3 fails, and the four periods of 50 share k = 160, so their
+        # chains advance as one lockstep group; JSON text compares every bit
+        # and every NaN
+        sample = self.exp_sample(35, 2_000)
+        periods = [3, 50, 50, 120, 50, 50, 400]
+        sampler = SamplerConfig(seed=9, burn_in=300, draws=1_000) if method == "bayes" else None
+        staged = return_level_curve(sample, periods, 0.1, method, prior, sampler)
+        expect = self.period_by_period(sample, periods, 0.1, method, prior, sampler)
+        assert json.dumps(staged) == json.dumps(expect)
+        assert staged[0]["error"] and not any(row["error"] for row in staged[1:])
 
 
 class TestExtrapolationConsistency:

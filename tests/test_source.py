@@ -1,7 +1,7 @@
 """Every module, test, benchmark script and tool parses as Python 3.10, the
 oldest version CI runs (its 3.10 leg runs ``perfbench/run.py --smoke``); and
-the package's GP math, its predictive law, its quadrature rule and its batch
-tail fit stay written once."""
+the package's GP math, its predictive law, its quadrature rule, its batch
+tail fit and its extreme-level forecast stay written once."""
 
 import ast
 from pathlib import Path
@@ -66,6 +66,16 @@ def test_simlab_fits_through_the_stage():
         p.name for p in ROOT.glob("src/tailcast/*.py") if "fit_tail" in _names(p)
     )
     assert users == ["__init__.py", "cli.py", "predict.py"]
+
+
+def test_one_extreme_forecast():
+    """Only ``risk`` reads a VaR point off a law (``__init__`` exports it):
+    every other VaR point and extreme-level interval comes from
+    ``risk.extreme_forecast``."""
+    users = sorted(
+        p.name for p in ROOT.glob("src/tailcast/*.py") if "var_from_predictive" in _names(p)
+    )
+    assert users == ["__init__.py", "risk.py"]
 
 
 def test_one_predictive_law():

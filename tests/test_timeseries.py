@@ -561,6 +561,24 @@ class TestRollingForecast:
         with pytest.raises(DomainError, match=f"{name} must lie in"):
             rolling_forecast(np.zeros(2_000), 1_000, 1_000, RollingConfig(k=100, **levels))
 
+    @pytest.mark.parametrize("filter,ar_order,k,kept", [
+        ("ar", 1, 999, 999), ("ar", 3, 997, 997), ("ar", 1, 0, 999),
+        ("garch11", 1, 990, 990), ("external", 1, 1_000, 1_000), ("external", 1, -5, 1_000),
+    ])
+    def test_k_no_window_can_hold_refused_before_any_fit(self, monkeypatch, filter,
+                                                           ar_order, k, kept):
+        # a window keeps window - ar_order AR residuals, window - 10 GARCH
+        # residuals past the warm-up, and every row of an external filter
+        def fit(*args, **kwargs):
+            raise AssertionError("a window was filtered")
+
+        monkeypatch.setattr(ts, "fit_ar", fit)
+        monkeypatch.setattr(ts, "fit_garch11", fit)
+        data = np.zeros((2_000, 3)) if filter == "external" else np.zeros(2_000)
+        cfg = RollingConfig(filter=filter, ar_order=ar_order, k=k)
+        with pytest.raises(DomainError, match=f"k must satisfy 1 <= k < {kept}, got {k}"):
+            rolling_forecast(data, 1_000, 1_000, cfg)
+
     def test_per_origin_errors_recorded(self):
         y, _ = simulate_ar1(0.6, 2_500, seed=16, innovations="pareto2")
         y[1_200:1_500] = 7.0  # a constant stretch breaks one window's filter
