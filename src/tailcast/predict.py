@@ -55,6 +55,7 @@ __all__ = [
 ]
 
 _BLOCK = 64 * 2_500  # (points x draws) values per block when a mixture evaluates an array
+_EPS = np.finfo(float).eps
 
 
 class MixturePredictive:
@@ -106,11 +107,13 @@ class MixturePredictive:
         lo, hi = float(per_draw.min()), float(per_draw.max())
         if not lo <= hi:
             raise NumericError("mixture quantile bracket is empty")
-        if hi - lo < 1e-12:  # one draw, or draws that agree: the closed form
-            return lo
-        # the mixture cdf is monotone and crosses prob inside the per-draw bracket
+        if hi - lo <= 4 * _EPS * max(abs(lo), abs(hi)):
+            return lo  # one draw, or draws that agree to rounding: the closed form
+        # the mixture cdf is monotone and crosses prob inside the per-draw
+        # bracket; both tolerances scale with the law, so the answer does not
+        # depend on the data's units
         try:
-            return brentq(lambda y: self.cdf(y) - prob, lo, hi, xtol=1e-10)
+            return brentq(lambda y: self.cdf(y) - prob, lo, hi, xtol=1e-12 * (hi - lo))
         except RuntimeError as exc:
             raise NumericError(f"mixture quantile did not converge: {exc}") from exc
         except ValueError:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -318,6 +319,32 @@ class TestTs:
         assert code == 0
         doc = json.loads(out.read_text())
         jsonschema.validate(doc, load_schema("ts_report.schema.json"))
+
+    def test_bayes_rows_scale_with_the_series(self, tmp_path):
+        """A GARCH(1,1)-t(5) series in units of 1e-8 gives every origin a
+        row, 1e-8 times the unscaled run's: the mixture quantile's
+        tolerances follow the law, not the data's units."""
+        rng = np.random.default_rng(7)
+        z = rng.standard_t(5.0, 3_000) / np.sqrt(5.0 / 3.0)
+        y, h = np.zeros(z.size), 1.0
+        for t in range(1, z.size):
+            h = 0.05 + 0.1 * y[t - 1] ** 2 + 0.85 * h
+            y[t] = math.sqrt(h) * z[t]
+        cfg = tmp_path / "light.json"
+        cfg.write_text(json.dumps({"sampler": {"burn_in": 300, "draws": 1_000}}))
+        rows = {}
+        for scale in (1.0, 1e-8):
+            series, out = tmp_path / f"y{scale}.csv", tmp_path / f"rows{scale}.json"
+            series.write_text("\n".join(repr(float(v)) for v in scale * y) + "\n")
+            assert main(["ts", "--input", str(series), "--k", "50", "--window", "1000",
+                         "--stride", "500", "--filter", "ar", "--method", "bayes",
+                         "--config", str(cfg), "--format", "json", "--out", str(out)]) == 0
+            rows[scale] = json.loads(out.read_text())["rows"]
+        assert len(rows[1e-8]) == 5
+        for small, unit in zip(rows[1e-8], rows[1.0], strict=True):
+            assert small["error"] == ""
+            for key in ("point", "lower", "upper"):
+                assert small[key] == pytest.approx(1e-8 * unit[key], rel=1e-9)
 
 
 class TestSimulate:
