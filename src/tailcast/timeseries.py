@@ -579,9 +579,12 @@ def rolling_forecast(series, window: int, stride: int, cfg: RollingConfig) -> li
     for name, level in (("alpha", cfg.alpha), ("tau_e", cfg.tau_e)):
         if not 0.0 < level < 1.0:
             raise DomainError(f"{name} must lie in (0,1), got {level}")
-    kept = {"ar": window - cfg.ar_order, "garch11": window - _GARCH_WARMUP}.get(cfg.filter, window)
-    if not 1 <= cfg.k < kept:  # the residuals a window keeps
-        raise DomainError(f"k must satisfy 1 <= k < {kept}, got {cfg.k}")
+    # the residuals a window keeps, by filter
+    kept = {"ar": window - cfg.ar_order, "garch11": window - _GARCH_WARMUP, "external": window}
+    if cfg.filter not in kept:
+        raise DomainError(f"unknown filter {cfg.filter!r}")
+    if not 1 <= cfg.k < kept[cfg.filter]:
+        raise DomainError(f"k must satisfy 1 <= k < {kept[cfg.filter]}, got {cfg.k}")
 
     def filtered(origin: int) -> ResidualSeries:
         j_target = origin + window
@@ -597,10 +600,8 @@ def rolling_forecast(series, window: int, stride: int, cfg: RollingConfig) -> li
             )
         elif cfg.filter == "ar":
             rs = residual_pipeline(y, fit_ar(y, cfg.ar_order))
-        elif cfg.filter == "garch11":
-            rs = residual_pipeline(y, fit_garch11(y))
         else:
-            raise DomainError(f"unknown filter {cfg.filter!r}")
+            rs = residual_pipeline(y, fit_garch11(y))
         tau_i = 1.0 - cfg.k / rs.residuals.size
         if cfg.tau_e < tau_i:
             raise DomainError(

@@ -579,6 +579,16 @@ class TestRollingForecast:
         with pytest.raises(DomainError, match=f"k must satisfy 1 <= k < {kept}, got {k}"):
             rolling_forecast(data, 1_000, 1_000, cfg)
 
+    def test_unknown_filter_refused_before_any_fit(self, monkeypatch):
+        # a library call is not held to argparse's choices
+        def fit(*args, **kwargs):
+            raise AssertionError("a window was filtered")
+
+        monkeypatch.setattr(ts, "fit_ar", fit)
+        monkeypatch.setattr(ts, "fit_garch11", fit)
+        with pytest.raises(DomainError, match="unknown filter 'garch'"):
+            rolling_forecast(np.zeros(3_000), 1_000, 1_000, RollingConfig(filter="garch", k=50))
+
     def test_per_origin_errors_recorded(self):
         y, _ = simulate_ar1(0.6, 2_500, seed=16, innovations="pareto2")
         y[1_200:1_500] = 7.0  # a constant stretch breaks one window's filter
