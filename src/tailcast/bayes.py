@@ -1,75 +1,64 @@
-"""Prior specification, GP posterior, and an adaptive random-walk sampler.
+"""Prior specification, GP posterior, and an independence sampler in theta = gamma/sigma.
 
 Priors factor into a shape part and a scale part.  The shape prior must be
 integrable on (-1/2, 0) and bounded on (0, inf); the scale prior is either
 the improper log-uniform or a data-dependent family whose base density is
 rescaled by a consistent scale estimate.  A :class:`PriorSpec` checks both
 conditions numerically for a :class:`CustomShape`; the built-in shapes are
-normalized densities, so they meet them by construction.
+normalized densities, so they meet them by construction.  The built-in
+densities take arrays; a user callable is evaluated once per value.
 
-Sampling runs a random-walk Metropolis chain on ``(gamma, log sigma)``
-whose proposal covariance adapts toward ``2.38^2/2`` times the empirical
-posterior covariance during burn-in and is frozen afterwards, so the
-retained chain is a valid time-homogeneous Markov chain.  Everything is
-deterministic given the seed.
-
-:func:`sample_posteriors` runs many chains in lockstep, one step of all of
-them at a time.  Each chain keeps its own generator, start, proposal,
-adaptation and trace, on Python floats; only the log1p sums of chains with
-the same excess count are one (chains x k) block, whose rows equal the
-one-chain sums bit for bit and go to :func:`~tailcast.gpd.gp_loglik`, the
-likelihood both loops use.  So every chain gives :func:`sample_posterior`'s
-draws, at less dispatch cost per step.
+Sampling works in ``theta = gamma/sigma`` (Grimshaw 1993; Zhang & Stephens
+2009, *Technometrics* 51(3)).  With ``S(theta) = sum(log1p(theta*x))`` over
+the k excesses, a flat shape prior and a 1/sigma scale prior, ``S/gamma``
+given theta is exactly Gamma(k - 1), so theta has the marginal
+``m(theta) ~ |theta/S|^(k-1) exp(-S)`` times the Gamma mass that keeps
+gamma in the shape prior's support.  An independence Metropolis sampler
+proposes theta from a piecewise log-linear fit of ``log m`` on a grid
+around its mode, plus a Cauchy outer component that covers the whole
+line, then gamma from its exact conditional truncated to the shape
+support.  The weight ``m/q`` times ``p_shape(gamma) p_scale(sigma) sigma``
+makes the chain target the posterior of any :class:`PriorSpec` exactly.
+Every proposal, its ``S(theta)`` (one proposals x k ``log1p`` block) and
+its prior terms are arrays; only the accept/reject scan is sequential.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    EstimationError,
-    DegenerateDataError,
-    NumericError,
-    PriorError,
-    SamplerError,
-    SamplerHealthWarning,
-)
+from .errors import DomainError, NumericError, PriorError, SamplerError, SamplerHealthWarning
 from .density import integrate_density
-from .estimation import ExceedanceSet, fit_ml, _negloglik_grad
+from .estimation import ExceedanceSet
 from .gpd import GpParams, Support, gp_loglik
 
 __all__ = [
-    "TruncatedNormalShape",
-    "UniformWindowShape",
-    "CustomShape",
-    "LogUniformScale",
-    "DataDependentScale",
-    "gamma_base_log_density",
-    "PriorSpec",
-    "default_prior",
-    "SamplerConfig",
-    "PosteriorSample",
-    "PosteriorSummary",
-    "log_prior",
-    "log_posterior_unnorm",
-    "sample_posterior",
-    "sample_posteriors",
-    "posterior_summary",
+    "TruncatedNormalShape", "UniformWindowShape", "CustomShape", "LogUniformScale",
+    "DataDependentScale", "gamma_base_log_density", "PriorSpec", "default_prior",
+    "SamplerConfig", "PosteriorSample", "PosteriorSummary", "log_prior",
+    "log_posterior_unnorm", "sample_posterior", "sample_posteriors", "posterior_summary",
 ]
 
 _SHAPE_LOWER = -0.5
-_CHOL_ENTRIES = ((0, 1, 1), (0, 0, 1))  # l00, l10, l11 of a lower 2x2 factor
-_SCALE_FACTOR = 2.38**2 / 2.0  # proposal scale for d = 2
-# Fewer chains than this step one at a time: the lockstep block's fixed cost
-# per step then outweighs the dispatch it saves (measured at k = 50 to 500,
-# where 2 chains took 1.14-1.45 times as long in lockstep and 4 chains 0.85-0.98)
-_LOCKSTEP_MIN_CHAINS = 4
+_OUTER = 0.05  # share of theta proposals drawn from the Cauchy outer component
+_NODES = 128  # grid nodes of the piecewise log-linear theta proposal
+_DROP = 36.0  # the grid ends where log m has fallen this far below its top
+_FLOOR = 50.0  # grid heights are held within this of the top
+_BLOCK = 1 << 16  # (proposals x k) log1p values per block, to stay in cache
+_ESS_FLOOR = 0.1  # a retained ESS of gamma under this share of the draws warns
+
+
+def _each(fn, values: np.ndarray) -> np.ndarray:
+    """A log-density on an array: at once for the built-in Gamma base, and
+    once per value for a user callable."""
+    if isinstance(fn, _GammaBase):
+        return fn(values)
+    return np.array([float(fn(v)) for v in values.tolist()], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -98,11 +87,10 @@ class TruncatedNormalShape:
     def support(self) -> tuple[float, float]:
         return (_SHAPE_LOWER, math.inf)
 
-    def log_density(self, gamma: float) -> float:
-        if gamma <= _SHAPE_LOWER:
-            return -math.inf
-        z = (gamma - self.mean) / self.sd
-        return -0.5 * z * z - self._log_norm
+    def log_density(self, gamma):
+        g = np.asarray(gamma, dtype=float)
+        z = (g - self.mean) / self.sd
+        return np.where(g > _SHAPE_LOWER, -0.5 * z * z - self._log_norm, -np.inf)
 
 
 @dataclass(frozen=True)
@@ -123,10 +111,9 @@ class UniformWindowShape:
     def support(self) -> tuple[float, float]:
         return (self.lo, self.hi)
 
-    def log_density(self, gamma: float) -> float:
-        if self.lo < gamma < self.hi:
-            return -math.log(self.hi - self.lo)
-        return -math.inf
+    def log_density(self, gamma):
+        g = np.asarray(gamma, dtype=float)
+        return np.where((self.lo < g) & (g < self.hi), -math.log(self.hi - self.lo), -np.inf)
 
 
 @dataclass(frozen=True)
@@ -141,21 +128,22 @@ class CustomShape:
     def support(self) -> tuple[float, float]:
         return (max(self.lo, _SHAPE_LOWER), self.hi)
 
-    def log_density(self, gamma: float) -> float:
+    def log_density(self, gamma):
+        g = np.asarray(gamma, dtype=float)
         lo, hi = self.support
-        if not lo < gamma < hi:
-            return -math.inf
-        return float(self.log_density_fn(gamma))
+        inside = (lo < g) & (g < hi)
+        out = np.full(g.shape, -np.inf)
+        out[inside] = _each(self.log_density_fn, g[inside])
+        return out
 
 
 @dataclass(frozen=True)
 class LogUniformScale:
     """Improper prior proportional to 1/sigma (uniform on log sigma)."""
 
-    def log_density(self, sigma: float) -> float:
-        if sigma <= 0.0:
-            return -math.inf
-        return -math.log(sigma)
+    def log_density(self, sigma):
+        s = np.asarray(sigma, dtype=float)
+        return -np.log(s, out=np.full(s.shape, np.inf), where=s > 0.0)
 
 
 @dataclass(frozen=True)
@@ -172,24 +160,31 @@ class DataDependentScale:
         if not (math.isfinite(self.anchor) and self.anchor > 0.0):
             raise PriorError(f"scale anchor must be positive, got {self.anchor}")
 
-    def log_density(self, sigma: float) -> float:
-        if sigma <= 0.0:
-            return -math.inf
-        return float(self.base_log_density(sigma / self.anchor)) - math.log(self.anchor)
+    def log_density(self, sigma):
+        x = np.asarray(sigma, dtype=float) / self.anchor
+        out = np.full(x.shape, -np.inf)
+        out[x > 0.0] = _each(self.base_log_density, x[x > 0.0]) - math.log(self.anchor)
+        return out
+
+
+@dataclass(frozen=True)
+class _GammaBase:
+    shape: float
+    rate: float
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        log_norm = self.shape * math.log(self.rate) - math.lgamma(self.shape)
+        log_x = np.log(x, out=np.zeros(x.shape), where=x > 0.0)
+        return np.where(x > 0.0, log_norm + (self.shape - 1.0) * log_x - self.rate * x, -np.inf)
 
 
 def gamma_base_log_density(shape: float = 1.0, rate: float = 1.0):
-    """Log-density of a Gamma(shape, rate) base for data-dependent scale priors."""
+    """Log-density of a Gamma(shape, rate) base for data-dependent scale
+    priors; it takes arrays."""
     if shape <= 0.0 or rate <= 0.0:
         raise PriorError("Gamma base parameters must be positive")
-    log_norm = shape * math.log(rate) - math.lgamma(shape)
-
-    def logpdf(x: float) -> float:
-        if x <= 0.0:
-            return -math.inf
-        return log_norm + (shape - 1.0) * math.log(x) - rate * x
-
-    return logpdf
+    return _GammaBase(float(shape), float(rate))
 
 
 @dataclass(frozen=True)
@@ -211,23 +206,14 @@ class PriorSpec:
 
     def _check_shape_prior(self):
         lo, hi = self.shape.support
-
-        def dens(g):
-            v = self.shape.log_density(g)
-            if v == -math.inf:
-                return 0.0
-            try:
-                return math.exp(v)
-            except OverflowError:
-                return math.inf
-
         upper = min(0.0, hi)
         if lo < upper:
             # integrability near the shape boundary: integrate in log distance
             # from the boundary (so boundary layers stay visible to quadrature)
             # and require that tightening the cutoff adds no further unit mass
             def in_log_distance(w):
-                return np.array([dens(lo + math.exp(v)) * math.exp(v) for v in w])
+                with np.errstate(over="ignore"):
+                    return np.exp(self.shape.log_density(lo + np.exp(w))) * np.exp(w)
 
             def mass_above(cut: float) -> float:
                 try:
@@ -251,7 +237,7 @@ class PriorSpec:
             # past the point where its height is judged, so that no narrow
             # peak reads as growth, wherever it sits
             grid = np.geomspace(1e-9, hi if hi < math.inf else 1e12, 512)
-            logd = np.array([self.shape.log_density(g) for g in grid])
+            logd = self.shape.log_density(grid)
             if np.any(np.isnan(logd) | (logd == math.inf)):
                 raise PriorError("shape prior is unbounded on the positive range")
             last = logd[384:]
@@ -295,7 +281,7 @@ def log_prior(spec: PriorSpec, theta) -> float:
     gamma, sigma = _theta_pair(theta)
     if gamma <= _SHAPE_LOWER or sigma <= 0.0:
         return -math.inf
-    return spec.shape.log_density(gamma) + spec.scale.log_density(sigma)
+    return float(spec.shape.log_density(gamma) + spec.scale.log_density(sigma))
 
 
 def log_posterior_unnorm(spec: PriorSpec, e: ExceedanceSet, theta) -> float:
@@ -313,12 +299,11 @@ class SamplerConfig:
     burn_in: int = 5_000
     draws: int = 20_000
     thin: int = 1
-    adapt_interval: int = 100
 
     def __post_init__(self):
         if self.seed < 0:
             raise DomainError(f"sampler seed must be non-negative, got {self.seed}")
-        if self.burn_in < 0 or min(self.draws, self.thin, self.adapt_interval) < 1:
+        if self.burn_in < 0 or min(self.draws, self.thin) < 1:
             raise DomainError("sampler configuration counts are out of range")
 
 
@@ -343,9 +328,9 @@ class PosteriorSample:
             raise DomainError("posterior draws must be nonempty and aligned")
         if np.any(g <= _SHAPE_LOWER) or np.any(s <= 0.0):
             raise DomainError("posterior draws violate the parameter space")
-        if not 0.0 < self.acceptance_rate < 1.0:
+        if not 0.0 < self.acceptance_rate <= 1.0:
             raise SamplerError(
-                f"acceptance rate {self.acceptance_rate!r} outside (0, 1)"
+                f"acceptance rate {self.acceptance_rate!r} outside (0, 1]"
             )
         object.__setattr__(self, "gammas", g)
         object.__setattr__(self, "sigmas", s)
@@ -355,310 +340,162 @@ class PosteriorSample:
         return int(self.gammas.size)
 
 
-def _initial_state(spec, e, logpost, fit):
-    """ML fit if the prior admits it, else a point inside the prior support."""
-    if fit is not None:
-        start = (fit.params.gamma, math.log(fit.params.sigma))
-        if math.isfinite(logpost(*start)):
-            return start
-    lo, hi = spec.shape_support
-    mid = 0.5 * (lo + min(hi, lo + 2.0))
-    for sigma0 in (float(np.mean(e.excesses)), float(np.median(e.excesses)), 1.0):
-        cand = (mid, math.log(sigma0))
-        if math.isfinite(logpost(*cand)):
-            return cand
-    raise SamplerError("could not find a starting point with positive posterior mass")
+def _log1p_sums(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``S(theta)`` of every theta: the (thetas x k) log1p block, by rows."""
+    out = np.empty(theta.size)
+    buf = np.empty((max(1, _BLOCK // x.size), x.size))
+    for i in range(0, theta.size, buf.shape[0]):
+        rows = slice(i, i + buf.shape[0])
+        block = np.multiply(theta[rows, None], x, out=buf[: theta[rows].size])
+        np.add.reduce(np.log1p(block, out=block), axis=1, out=out[rows])
+    return out
 
 
-def _initial_proposal_cov(e, fit):
-    """Inverse observed information at the ML fit; diagonal fallback.  The
-    difference in gamma is one-sided where a step back would cross -1/2."""
-    if fit is None:
-        return np.diag([0.01, 0.01])
-    theta = np.array([fit.params.gamma, math.log(fit.params.sigma)])
-    h = 1e-5
-    hess = np.empty((2, 2))
-    for j in range(2):
-        step = np.zeros(2)
-        step[j] = h
-        one_sided = j == 0 and theta[0] - h <= _SHAPE_LOWER
-        back, width = (theta, h) if one_sided else (theta - step, 2.0 * h)
-        hess[:, j] = (
-            _negloglik_grad(theta + step, e.excesses)
-            - _negloglik_grad(back, e.excesses)
-        ) / width
-    hess = 0.5 * (hess + hess.T) * e.excesses.size
-    try:
-        cov = np.linalg.inv(hess)
-    except np.linalg.LinAlgError:
-        return np.diag([0.01, 0.01])
-    if not np.all(np.isfinite(cov)) or np.any(np.diag(cov) <= 0.0):
-        return np.diag([0.01, 0.01])
-    return cov
+def _log_marginal(phi, x, support):
+    """``log m`` at ``phi = log1p(theta * max(x))``, up to a constant, and
+    what the conditional of gamma needs there: ``S``, ``S/theta`` and the
+    window ``(u1, u2)`` of the Gamma(k - 1) variable ``G = S/gamma`` that
+    keeps gamma in ``support``, with the window ends' probabilities on the
+    tail that keeps them small (the upper one where ``u1 > k - 1``)."""
+    from scipy.special import gammainc, gammaincc
+
+    a, (lo, hi) = x.size - 1.0, support
+    theta = np.expm1(phi) / x[-1]
+    S = _log1p_sums(theta, x)
+    ratio = np.where(theta == 0.0, x.sum(), S / theta)
+    # gamma has the sign of S, and |gamma| runs over (g_lo, g_hi)
+    g_lo = np.where(S > 0.0, max(lo, 0.0), max(-hi, 0.0))
+    g_hi = np.where(S > 0.0, hi, -lo)
+    empty = g_hi <= g_lo
+    u1 = np.where(empty, np.inf, np.abs(S) / g_hi)
+    u2 = np.where(empty | (g_lo == 0.0), np.inf, np.abs(S) / g_lo)
+    upper = u1 > a
+    ends = np.empty((2, S.size))  # lower first
+    ends[:, upper] = gammaincc(a, np.stack((u2[upper], u1[upper])))
+    ends[:, ~upper] = gammainc(a, np.stack((u1[~upper], u2[~upper])))
+    log_m = phi - a * np.log(ratio) - S + np.log(ends[1] - ends[0])
+    return np.where(np.isnan(log_m), -np.inf, log_m), S, ratio, (u1, u2, upper, ends)
 
 
-def _log_posterior(spec: PriorSpec, e: ExceedanceSet):
-    """``logpost(gamma, log_sigma)``: the chain's target on Python floats."""
-    loglik = gp_loglik(e.excesses)
-    shape_logpdf = spec.shape.log_density
-    scale_logpdf = spec.scale.log_density
-
-    def logpost(gamma: float, log_sigma: float) -> float:
-        lp = shape_logpdf(gamma) + scale_logpdf(math.exp(log_sigma))
-        if lp == -math.inf:
-            return -math.inf
-        # + log_sigma: Jacobian of the log-scale reparameterization
-        return loglik(gamma, log_sigma) + lp + log_sigma
-
-    return logpost
-
-
-@dataclass(frozen=True)
-class _Chain:
-    """A chain before its first step: its target, start and first proposal."""
-
-    spec: PriorSpec
-    e: ExceedanceSet
-    cfg: SamplerConfig
-    logpost: Callable[[float, float], float]
-    start: tuple[float, float, float]  # gamma, log sigma, log posterior
-    chol: tuple[float, float, float]  # l00, l10, l11 of the proposal factor
-
-    @property
-    def total(self) -> int:
-        return self.cfg.burn_in + self.cfg.draws * self.cfg.thin
-
-    def draws(self) -> tuple[np.ndarray, np.ndarray]:
-        """The (steps x 2) proposal normals and the log uniforms of each step."""
-        rng = np.random.default_rng(self.cfg.seed)
-        return rng.standard_normal((self.total, 2)), np.log(rng.random(self.total))
+def _theta_grid(log_m):
+    """Nodes and log heights of the proposal in phi: a zoom onto the mode of
+    ``log m``, then nodes out to where it has fallen ``_DROP`` below it."""
+    phi = np.linspace(-30.0, 30.0, 64)
+    for _ in range(4):
+        heights = log_m(phi)
+        i = int(np.argmax(heights))
+        if heights[i] == -np.inf:
+            raise SamplerError("no value of gamma/sigma has positive posterior mass")
+        mode, phi = phi[i], np.linspace(phi[max(i - 1, 0)], phi[min(i + 1, phi.size - 1)], 33)
+    steps = 1e-3 * 2.0 ** np.arange(16)
+    reach = []
+    for side in (-1.0, 1.0):
+        fallen = np.flatnonzero(~(log_m(mode + side * steps) > heights[i] - _DROP))
+        reach.append(steps[fallen[0]] if fallen.size else steps[-1])
+    nodes = np.linspace(mode - reach[0], mode + reach[1], _NODES)
+    heights = log_m(nodes)
+    return nodes, np.maximum(heights, heights.max() - _FLOOR)
 
 
-def _start(spec: PriorSpec, e: ExceedanceSet, cfg: SamplerConfig) -> _Chain:
-    """Set a chain up: one ML fit gives its start and its first proposal."""
+def _chain(spec: PriorSpec, e: ExceedanceSet, cfg: SamplerConfig) -> PosteriorSample:
+    """One chain: its proposals and weights as arrays, then the scan."""
+    from scipy.special import gammaincinv, gammainccinv
+
     if e.n_excesses < 2:
         raise DomainError("posterior sampling needs at least 2 excesses")
-    logpost = _log_posterior(spec, e)
-    try:
-        fit = fit_ml(e)
-    except (EstimationError, DegenerateDataError, DomainError):
-        fit = None
-    g0, ls0 = _initial_state(spec, e, logpost, fit)
-    cov = _initial_proposal_cov(e, fit)
-    chol = np.linalg.cholesky(_SCALE_FACTOR * cov + 1e-12 * np.eye(2))
-    return _Chain(
-        spec, e, cfg, logpost, (g0, ls0, logpost(g0, ls0)),
-        tuple(chol[_CHOL_ENTRIES].tolist()),
-    )
+    x, support = e.excesses, spec.shape_support
+    a, n = x.size - 1.0, cfg.burn_in + cfg.draws * cfg.thin
+    rng = np.random.default_rng(cfg.seed)
+    u = rng.random((4, n))  # component and segment, place, gamma, acceptance
+    with np.errstate(all="ignore"):
+        nodes, heights = _theta_grid(lambda phi: _log_marginal(phi, x, support)[0])
+        # phi from the grid: a segment by its mass, then a place in it by
+        # inverting its exponential cdf; or from the Cauchy outer component
+        h, d, top = nodes[1] - nodes[0], np.diff(heights), heights.max()
+        flat = d == 0.0
+        cum = np.cumsum(np.exp(heights[:-1] - top) * np.where(flat, 1.0, np.expm1(d) / d))
+        j = np.minimum(np.searchsorted(cum, (u[0] - _OUTER) / (1.0 - _OUTER) * cum[-1]), d.size - 1)
+        place = np.where(flat[j], u[1], np.log1p(u[1] * np.expm1(d[j])) / d[j])
+        mode, width = nodes[np.argmax(heights)], 0.5 * (nodes[-1] - nodes[0])
+        phi = np.where(u[0] >= _OUTER, nodes[j] + h * place,
+                       mode + width * np.tan(np.pi * (u[1] - 0.5)))
+        on_grid = np.interp(phi, nodes, heights, left=-np.inf, right=-np.inf) - top
+        outer = math.log(_OUTER / (np.pi * width)) - np.log1p(((phi - mode) / width) ** 2)
+        log_q = np.logaddexp(math.log1p(-_OUTER) + on_grid - np.log(h * cum[-1]), outer)
+        # G = S/gamma from Gamma(k - 1) inside its window: by inversion,
+        # or drawn directly where the window is the whole half-line
+        log_m, S, ratio, (u1, u2, upper, ends) = _log_marginal(phi, x, support)
+        level = ends[0] + u[2] * (ends[1] - ends[0])
+        free, G = (u1 == 0.0) & (u2 == np.inf), np.empty(n)
+        for rows, inverse in ((upper & ~free, gammainccinv), (~(upper | free), gammaincinv)):
+            G[rows] = inverse(a, level[rows])
+        G[free] = rng.standard_gamma(a, int(free.sum()))
+        gammas, sigmas = S / G, ratio / G
+        log_w = (log_m - log_q + spec.shape.log_density(gammas)
+                 + spec.scale.log_density(sigmas) + np.log(sigmas))
+    log_w = np.where(np.isfinite(log_w), log_w, -np.inf)
+    if not (log_w > -np.inf).any():
+        raise SamplerError("no proposal has positive posterior mass")
+    cur = first = int(np.argmax(log_w > -np.inf))  # the chain starts there
+    top, moves, states = log_w[first], 0, [first] * (first + 1)
+    for i, w, log_u in zip(range(first + 1, n), log_w[first + 1 :].tolist(),
+                           np.log(u[3, first + 1 :]).tolist()):
+        if w - top > log_u:
+            cur, top = i, w
+            moves += i >= cfg.burn_in
+        states.append(cur)
+    kept = np.array(states[cfg.burn_in :: cfg.thin])
+    return _finish(spec, e, cfg, gammas[kept], sigmas[kept], moves)
 
 
-def _adapt(history: np.ndarray) -> tuple[float, float, float] | None:
-    """The proposal factor from a (steps x 2) C-order history, or None to keep
-    the current one.  np.cov of its transpose: another layout changes its bits."""
-    emp = np.cov(history.T)
-    if not np.all(np.isfinite(emp)):
-        return None
-    try:
-        chol = np.linalg.cholesky(_SCALE_FACTOR * emp + 1e-10 * np.eye(2))
-    except np.linalg.LinAlgError:
-        return None
-    return tuple(chol[_CHOL_ENTRIES].tolist())
-
-
-def _steps(chain: _Chain):
-    """One chain's Metropolis loop on Python floats: the traces of gamma and
-    log sigma, and the moves accepted after burn-in."""
-    burn_in, every = chain.cfg.burn_in, chain.cfg.adapt_interval
-    logpost = chain.logpost
-    z, log_u = chain.draws()
-    z0, z1, log_u = z[:, 0].tolist(), z[:, 1].tolist(), log_u.tolist()
-    l00, l10, l11 = chain.chol
-    g_cur, ls_cur, lp_cur = chain.start
-    history = np.empty((burn_in, 2))
-    trace_g: list[float] = []
-    trace_ls: list[float] = []
-    filled = accepted_tail = 0
-
-    for i in range(chain.total):
-        g_prop = g_cur + l00 * z0[i]
-        ls_prop = ls_cur + (l10 * z0[i] + l11 * z1[i])
-        lp_prop = logpost(g_prop, ls_prop)
-        if lp_prop - lp_cur > log_u[i]:
-            g_cur, ls_cur, lp_cur = g_prop, ls_prop, lp_prop
-            if i >= burn_in:
-                accepted_tail += 1
-        trace_g.append(g_cur)
-        trace_ls.append(ls_cur)
-        if i < burn_in and (i + 1) % every == 0:
-            history[filled : i + 1, 0] = trace_g[filled:]
-            history[filled : i + 1, 1] = trace_ls[filled:]
-            filled = i + 1
-            l00, l10, l11 = _adapt(history[: i + 1]) or (l00, l10, l11)
-    return trace_g, trace_ls, accepted_tail
-
-
-def _lockstep(chains: list[_Chain]):
-    """The Metropolis loops of chains with the same settings and excess count,
-    one step at a time: per chain, the proposal, the prior and the
-    acceptance are :func:`_steps`'s on Python floats, and the log1p sums of
-    every chain are one (chains x k) block, each row of whose ``add.reduce``
-    equals the 1-D sum bit for bit; each chain's likelihood combines its
-    row in :func:`~tailcast.gpd.gp_loglik`.  Returns the (steps x chains)
-    traces of gamma and log sigma and the accepted moves per chain.
-    """
-    cfg = chains[0].cfg
-    burn_in, every, total = cfg.burn_in, cfg.adapt_interval, chains[0].total
-    n = len(chains)
-    x = np.stack([c.e.excesses for c in chains])
-    buf = np.empty_like(x)
-    coef = np.empty((n, 1))
-    z0, z1, log_u = (np.empty((total, n)) for _ in range(3))
-    for j, c in enumerate(chains):
-        z, lu = c.draws()
-        z0[:, j], z1[:, j], log_u[:, j] = z[:, 0], z[:, 1], lu
-    trace_g, trace_ls = np.empty((total, n)), np.empty((total, n))
-    g_cur = [c.start[0] for c in chains]
-    ls_cur = [c.start[1] for c in chains]
-    lp_cur = [c.start[2] for c in chains]
-    chol = [c.chol for c in chains]
-    logliks = [gp_loglik(c.e.excesses) for c in chains]
-    priors = [(c.spec.shape.log_density, c.spec.scale.log_density) for c in chains]
-    accepted = [0] * n
-    neg_inf = -math.inf
-
-    for i in range(total):
-        props = []  # (gamma, log sigma, log prior)
-        ratios = []  # gamma/sigma, the row's coefficient; 0 outside the prior
-        for g, ls, (l00, l10, l11), za, zb, (shape_lp, scale_lp) in zip(
-            g_cur, ls_cur, chol, z0[i].tolist(), z1[i].tolist(), priors
-        ):
-            g += l00 * za
-            ls += l10 * za + l11 * zb
-            sigma = math.exp(ls)
-            lp = shape_lp(g) + scale_lp(sigma)
-            props.append((g, ls, lp))
-            ratios.append(0.0 if lp == neg_inf else g / sigma)
-        coef[:, 0] = ratios
-        np.multiply(x, coef, out=buf)
-        # a row past its endpoint holds -inf or nan, and gp_loglik rejects it
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sums = np.add.reduce(np.log1p(buf, out=buf), axis=1).tolist()
-        post = i >= burn_in
-        for j, ((g, ls, lp), s, lu, loglik) in enumerate(
-            zip(props, sums, log_u[i].tolist(), logliks)
-        ):
-            if lp != neg_inf:
-                lp = loglik(g, ls, s) + lp + ls
-            if lp - lp_cur[j] > lu:
-                g_cur[j], ls_cur[j], lp_cur[j] = g, ls, lp
-                accepted[j] += post
-        trace_g[i] = g_cur
-        trace_ls[i] = ls_cur
-        if i < burn_in and (i + 1) % every == 0:
-            for j in range(n):
-                history = np.stack((trace_g[: i + 1, j], trace_ls[: i + 1, j]), axis=1)
-                chol[j] = _adapt(history) or chol[j]
-    return trace_g, trace_ls, accepted
-
-
-def _finish(chain: _Chain, trace_g, trace_ls, accepted_tail: int) -> PosteriorSample:
-    """The retained draws of a whole trace, with health warnings named at the
-    sampler's caller."""
-    cfg, spec = chain.cfg, chain.spec
-    out_g = np.array(trace_g[cfg.burn_in :: cfg.thin])
-    # math.exp, not np.exp: the two differ in the last bit on some arguments
-    out_s = np.array([math.exp(v) for v in trace_ls[cfg.burn_in :: cfg.thin]])
-
-    post_iters = cfg.draws * cfg.thin
-    if accepted_tail == 0:
+def _finish(spec, e, cfg, out_g, out_s, moves: int) -> PosteriorSample:
+    """The retained draws, with health warnings named at the sampler's caller."""
+    if moves == 0:
         raise SamplerError("chain rejected every proposal after burn-in")
-    rate = accepted_tail / post_iters
-    if not 0.1 <= rate <= 0.6:
-        warnings.warn(
-            f"acceptance rate {rate:.3f} outside [0.1, 0.6] after adaptation",
-            SamplerHealthWarning,
-            stacklevel=3,
-        )
-    lo, hi = spec.shape_support
-    if math.isfinite(hi):
-        width = hi - lo
-        near = np.mean(
-            (out_g < lo + 0.02 * width) | (out_g > hi - 0.02 * width)
-        )
-        if near > 0.2:
-            warnings.warn(
-                f"{near:.0%} of shape draws pile against the prior window "
-                f"({lo}, {hi}); the window may exclude the data-supported region",
-                SamplerHealthWarning,
-                stacklevel=3,
-            )
-
+    ess, (lo, hi) = (_ess(out_g), _ess(out_s)), spec.shape_support
+    edge = 0.02 * (hi - lo)
+    near = np.mean((out_g < lo + edge) | (out_g > hi - edge)) if math.isfinite(hi) else 0.0
+    for bad, message in (
+        (ess[0] < _ESS_FLOOR * out_g.size, f"retained ESS of gamma {ess[0]:.0f} is "
+         f"under {_ESS_FLOOR:.0%} of the {out_g.size} draws"),
+        (near > 0.2, f"{near:.0%} of shape draws pile against the prior window "
+         f"({lo}, {hi}); the window may exclude the data-supported region"),
+    ):
+        if bad:
+            warnings.warn(message, SamplerHealthWarning, stacklevel=4)
     return PosteriorSample(
-        gammas=out_g,
-        sigmas=out_s,
-        acceptance_rate=rate,
-        burn_in=cfg.burn_in,
-        thin=cfg.thin,
-        seed=cfg.seed,
-        ess=(_ess(out_g), _ess(out_s)),
-        threshold=chain.e.threshold,
-        shape_support=spec.shape_support,
+        gammas=out_g, sigmas=out_s, acceptance_rate=moves / (cfg.draws * cfg.thin),
+        burn_in=cfg.burn_in, thin=cfg.thin, seed=cfg.seed, ess=ess,
+        threshold=e.threshold, shape_support=spec.shape_support,
     )
 
 
 def sample_posterior(
     spec: PriorSpec, e: ExceedanceSet, cfg: SamplerConfig
 ) -> PosteriorSample:
-    """Adaptive random-walk Metropolis on ``(gamma, log sigma)``.
+    """Independence Metropolis on ``(gamma, theta = gamma/sigma)``.
 
-    Proposal covariance adapts during burn-in toward ``2.38^2/2`` times the
-    running posterior covariance and is frozen afterwards.  Deterministic
-    given ``cfg.seed``.  Emits :class:`SamplerHealthWarning` when the
-    post-adaptation acceptance rate leaves [0.1, 0.6] or when draws pile up
-    against a finite shape-prior boundary.
+    ``cfg.burn_in + cfg.draws * cfg.thin`` proposals are scanned; the first
+    ``burn_in`` states are discarded, then every ``thin``-th is kept.
+    Deterministic given ``cfg.seed``.  Emits :class:`SamplerHealthWarning`
+    when the retained ESS of gamma is under 10% of the draws or when draws
+    pile up against a finite shape-prior boundary.
     """
-    chain = _start(spec, e, cfg)
-    return _finish(chain, *_steps(chain))
+    return _chain(spec, e, cfg)
 
 
 def sample_posteriors(
     specs: Sequence[PriorSpec], es: Sequence[ExceedanceSet], cfgs: Sequence[SamplerConfig]
 ) -> list[PosteriorSample | DomainError | SamplerError]:
-    """:func:`sample_posterior` of every ``(spec, e, cfg)``, chains in lockstep.
-
-    Chains with the same excess count and the same settings but the seed
-    advance together (:func:`_lockstep`); a group of fewer than
-    ``_LOCKSTEP_MIN_CHAINS`` runs the scalar loop, which is faster there.
-    Every chain keeps its own generator, start, proposal, adaptation and
-    trace, so each result equals :func:`sample_posterior`'s bit for bit.
-    A chain that cannot start, or rejects every proposal, gives its
-    exception in place of a sample, and the others still run.
-    """
-    out: list = [None] * len(es)
-    groups: dict = {}
-    for j, (spec, e, cfg) in enumerate(zip(specs, es, cfgs, strict=True)):
+    """:func:`sample_posterior` of every ``(spec, e, cfg)``, each equal to the
+    one-chain call bit for bit.  A chain that cannot run gives its exception
+    in its place, and the others still run."""
+    out: list = []
+    for spec, e, cfg in zip(specs, es, cfgs, strict=True):
         try:
-            chain = _start(spec, e, cfg)
+            out.append(_chain(spec, e, cfg))
         except (DomainError, SamplerError) as exc:
-            out[j] = exc
-        else:
-            groups.setdefault((e.n_excesses, replace(cfg, seed=0)), []).append((j, chain))
-    for members in groups.values():
-        chains = [chain for _, chain in members]
-        if len(chains) < _LOCKSTEP_MIN_CHAINS:
-            traces = [_steps(chain) for chain in chains]
-        else:
-            trace_g, trace_ls, accepted = _lockstep(chains)
-            # one chain's floats at a time: a list per chain would outweigh the arrays
-            traces = (
-                (trace_g[:, j], trace_ls[:, j].tolist(), accepted[j])
-                for j in range(len(chains))
-            )
-        for (j, chain), trace in zip(members, traces):
-            try:
-                out[j] = _finish(chain, *trace)
-            except (DomainError, SamplerError) as exc:
-                out[j] = exc
+            out.append(exc)
     return out
 
 

@@ -155,7 +155,7 @@ def _one_of(*names):
     return convert
 
 
-_SAMPLER = {key: int for key in ("seed", "burn_in", "draws", "thin", "adapt_interval")}
+_SAMPLER = {key: int for key in ("seed", "burn_in", "draws", "thin")}
 
 
 def _sampler_keys(value, reseeded_by: str | None = None) -> dict:

@@ -127,12 +127,13 @@ class TestFit:
         assert main(["fit", "--input", exp_csv]) == 3
 
     def test_bad_adapt_interval_exit_3(self, exp_csv, tmp_path, capsys):
+        # the independence sampler has no adaptation, so the key is unknown
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"sampler": {"adapt_interval": 0}}))
+        cfg.write_text(json.dumps({"sampler": {"adapt_interval": 100}}))
         code = main(["fit", "--input", exp_csv, "--k", "500", "--method", "bayes",
                      "--config", str(cfg)])
         assert code == 3
-        assert "out of range" in capsys.readouterr().err
+        assert "unknown keys in sampler: ['adapt_interval']" in capsys.readouterr().err
 
     @pytest.mark.parametrize("where", ["flag", "config"])
     def test_negative_seed_exit_3(self, exp_csv, tmp_path, capsys, where):

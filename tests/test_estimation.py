@@ -6,7 +6,6 @@ import pytest
 from scipy.optimize import brentq, minimize
 
 from conftest import make_excesses
-from tailcast.bayes import SamplerConfig, default_prior, sample_posterior
 from tailcast.errors import (
     BoundaryWarning,
     DegenerateDataError,
@@ -275,28 +274,6 @@ class TestShapeEdge:
         # and the fit beats every admissible point of the profile
         admissible = [v for v in t if shape(v) > -0.5]
         assert max(loglik(v) for v in admissible) < fit.loglik
-
-    def test_sampler_starts_from_the_edge_fit(self, e, monkeypatch):
-        import tailcast.bayes as bayes
-
-        with pytest.warns(BoundaryWarning):
-            fit = fit_ml(e)
-        starts = []
-        original = bayes._initial_state
-
-        def recording(spec, e, logpost, fit):
-            start = original(spec, e, logpost, fit)
-            starts.append((start, logpost(*start)))
-            return start
-
-        monkeypatch.setattr(bayes, "_initial_state", recording)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            cfg = SamplerConfig(burn_in=200, draws=200, seed=1)
-            sample_posterior(default_prior(pwm_scale(e)), e, cfg)
-        [(start, log_post)] = starts
-        assert start == (fit.params.gamma, math.log(fit.params.sigma))
-        assert math.isfinite(log_post)
 
 
 def _reference_grad(gamma, sigma, x):

@@ -1,4 +1,5 @@
 import inspect
+import math
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -12,6 +13,7 @@ from scipy.stats import kstest
 import tailcast.predict as predict
 import tailcast.simlab as simlab
 from tailcast.bayes import (
+    DataDependentScale,
     LogUniformScale,
     PriorSpec,
     SamplerConfig,
@@ -509,8 +511,8 @@ class TestTopOnlyDraw:
 
 
 class TestBayesStage:
-    """The Bayes arm's chains run in lockstep, with the rows and warnings of
-    one chain at a time."""
+    """The Bayes arm's chains run in one ``sample_posteriors`` call, with the
+    rows and warnings of one chain at a time."""
 
     FAST = SamplerConfig(burn_in=300, draws=1_000)
 
@@ -534,7 +536,7 @@ class TestBayesStage:
         (risk_error_experiment, dict(
             generator=Generator(Pareto(3.0), seed=2), methods=("bayes",),
             prior=PriorSpec(UniformWindowShape(-0.49, 0.99), LogUniformScale()),
-            sampler=SamplerConfig(burn_in=200, draws=500, thin=3, adapt_interval=90))),
+            sampler=SamplerConfig(burn_in=200, draws=500, thin=3))),
     ])
     def test_lockstep_rows_equal_one_chain_at_a_time(self, monkeypatch, run, kwargs):
         cfg = small_cfg(**{"replications": 50, **kwargs})
@@ -550,8 +552,10 @@ class TestBayesStage:
         assert counts[0] == counts[1]
 
     def test_chain_that_cannot_start_fails_its_replication(self):
-        # no point of a window below -0.45 admits GP(0.25) excesses
-        prior = PriorSpec(UniformWindowShape(-0.5, -0.45), LogUniformScale())
+        # no point of a window below -0.45 with every scale under 1 admits
+        # GP(0.25) excesses whose largest is over 1/0.45
+        prior = PriorSpec(UniformWindowShape(-0.5, -0.45),
+                          DataDependentScale(lambda x: 0.0 if x < 1.0 else -math.inf, 1.0))
         cfg = small_cfg(methods=("ml", "bayes"), prior=prior, sampler=self.FAST)
         res = coverage_experiment(cfg)
         assert res.stats["bayes"].failure_reasons == f"SamplerError:{cfg.replications}"
