@@ -219,23 +219,22 @@ def gp_pdf(p: GpParams, x: float) -> float:
     return _as_float(gp_pdf_vec(p.gamma, p.sigma, x), x)
 
 
-def gp_loglik(x: np.ndarray) -> Callable[..., float]:
+def gp_loglik(x: np.ndarray) -> Callable[[float, float], float]:
     """The GP log-likelihood of the ascending excesses ``x``, as a function
-    ``loglik(gamma, log_sigma, log1p_sum=None)`` on Python floats.
+    ``loglik(gamma, log_sigma)`` on Python floats.
 
     It is ``-k log sigma - (1 + 1/gamma) S`` with ``S = sum(log1p(x * (gamma
     / sigma)))``, its limit ``-k log sigma - sum(x) / sigma`` for near-zero
     shapes, and -inf for shapes at or below -1/2 or an excess at or past the
-    endpoint.  A caller holding ``S`` already (a lockstep block's row)
-    passes it as ``log1p_sum``.  ``S`` is formed in one buffer per ``x``,
-    without a temporary per call: not for concurrent use.
+    endpoint.  ``S`` is formed in one buffer per ``x``, without a temporary
+    per call: not for concurrent use.
     """
     k = x.size
     x_sum = float(np.add.reduce(x))
     x_max = float(x[-1])
     buf = np.empty_like(x)
 
-    def loglik(gamma: float, log_sigma: float, log1p_sum: float | None = None) -> float:
+    def loglik(gamma: float, log_sigma: float) -> float:
         if gamma <= -0.5:
             return -math.inf
         sigma = math.exp(log_sigma)
@@ -243,9 +242,8 @@ def gp_loglik(x: np.ndarray) -> Callable[..., float]:
             return -math.inf
         if abs(gamma) < GAMMA_ZERO_TOL:
             return -k * log_sigma - x_sum / sigma
-        if log1p_sum is None:
-            np.multiply(x, gamma / sigma, out=buf)
-            log1p_sum = float(np.add.reduce(np.log1p(buf, out=buf)))
+        np.multiply(x, gamma / sigma, out=buf)
+        log1p_sum = float(np.add.reduce(np.log1p(buf, out=buf)))
         return -k * log_sigma - (1.0 + 1.0 / gamma) * log1p_sum
 
     return loglik

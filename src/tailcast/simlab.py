@@ -8,9 +8,8 @@ Replication seeds are spawned from the experiment seed through
 ``numpy.random.SeedSequence([seed, context, replication])``, which makes
 aggregates independent of execution order.  So an experiment runs in
 stages: it draws every replication (or filters every window), selects its
-exceedances once, fits each arm's tails in one :func:`fit_tails` call (the
-Bayes arm's chains in lockstep), then evaluates each replication from its
-fits alone.
+exceedances once, fits each arm's tails in one :func:`fit_tails` call,
+then evaluates each replication from its fits alone.
 
 Runners check the observable consequences of the asymptotic theory:
 conditional coverage of predictive intervals, contraction of the Hellinger

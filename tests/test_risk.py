@@ -275,9 +275,8 @@ class TestReturnLevelCurve:
     @pytest.mark.parametrize("method,prior", [("ml", None), ("bayes", None),
                                               ("bayes", window_prior)])
     def test_staged_table_equals_period_by_period(self, method, prior):
-        # T = 3 fails, and the four periods of 50 share k = 160, so their
-        # chains advance as one lockstep group; JSON text compares every bit
-        # and every NaN
+        # T = 3 fails, and the four periods of 50 share k = 160; JSON text
+        # compares every bit and every NaN
         sample = self.exp_sample(35, 2_000)
         periods = [3, 50, 50, 120, 50, 50, 400]
         sampler = SamplerConfig(seed=9, burn_in=300, draws=1_000) if method == "bayes" else None
